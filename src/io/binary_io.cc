@@ -42,7 +42,7 @@ void BinaryWriter::WriteString(const std::string& value) {
   WriteBytes(value.data(), value.size());
 }
 
-void BinaryWriter::WriteDoubleVec(const std::vector<double>& value) {
+void BinaryWriter::WriteDoubleVec(std::span<const double> value) {
   WriteU64(value.size());
   WriteBytes(value.data(), value.size() * sizeof(double));
 }
@@ -105,15 +105,24 @@ bool BinaryReader::ReadString(std::string* value) {
   return size == 0 || ReadBytes(value->data(), size);
 }
 
-bool BinaryReader::ReadDoubleVec(std::vector<double>* value) {
-  STREAMAD_CHECK(value != nullptr);
+bool BinaryReader::ReadDoubleVec(std::vector<double>* out) {
+  STREAMAD_CHECK(out != nullptr);
+  out->clear();
   std::uint64_t size = 0;
-  if (!ReadU64(&size) || size > kMaxElements) {
+  return AppendDoubleVec(out, &size);
+}
+
+bool BinaryReader::AppendDoubleVec(std::vector<double>* value,
+                                   std::uint64_t* size) {
+  STREAMAD_CHECK(value != nullptr && size != nullptr);
+  if (!ReadU64(size) || *size > kMaxElements) {
     ok_ = false;
     return false;
   }
-  value->resize(size);
-  return size == 0 || ReadBytes(value->data(), size * sizeof(double));
+  const std::size_t base = value->size();
+  value->resize(base + *size);
+  return *size == 0 ||
+         ReadBytes(value->data() + base, *size * sizeof(double));
 }
 
 bool BinaryReader::ReadIntVec(std::vector<int>* value) {

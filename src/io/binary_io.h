@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ class BinaryWriter {
   void WriteI64(std::int64_t value);
   void WriteDouble(double value);
   void WriteString(const std::string& value);
-  void WriteDoubleVec(const std::vector<double>& value);
+  void WriteDoubleVec(std::span<const double> value);
   void WriteIntVec(const std::vector<int>& value);
   void WriteMatrix(const linalg::Matrix& value);
 
@@ -57,6 +58,10 @@ class BinaryReader {
   bool ReadDouble(double* value);
   bool ReadString(std::string* value);
   bool ReadDoubleVec(std::vector<double>* value);
+  /// Reads one `WriteDoubleVec` record and appends its elements to
+  /// `*value`, keeping what it already held; `*size` receives the
+  /// record's length. Lets a loader stage many rows in one buffer.
+  bool AppendDoubleVec(std::vector<double>* value, std::uint64_t* size);
   bool ReadIntVec(std::vector<int>* value);
   bool ReadMatrix(linalg::Matrix* value);
 
@@ -65,12 +70,12 @@ class BinaryReader {
 
   bool ok() const { return ok_; }
 
- private:
-  bool ReadBytes(void* data, std::size_t size);
-
   /// Upper bound on any single container (guards against garbage length
   /// prefixes allocating gigabytes).
   static constexpr std::uint64_t kMaxElements = 1ull << 28;
+
+ private:
+  bool ReadBytes(void* data, std::size_t size);
 
   std::istream* in_;
   bool ok_ = true;

@@ -241,8 +241,7 @@ core::Status KnnModel::SaveState(io::BinaryWriter* writer) const {
   writer->WriteU64(params_.k);
   writer->WriteU64(reference_.rows());
   for (std::size_t i = 0; i < reference_.rows(); ++i) {
-    const std::span<const double> row = reference_.RowSpan(i);
-    writer->WriteDoubleVec(std::vector<double>(row.begin(), row.end()));
+    writer->WriteDoubleVec(reference_.RowSpan(i));
   }
   writer->WriteDoubleVec(calibration_);
   if (!writer->ok()) return core::Status::IoError("knn checkpoint write failed");
@@ -264,34 +263,40 @@ core::Status KnnModel::LoadState(io::BinaryReader* reader) {
         "k mismatch: archived " + std::to_string(k) + ", configured " +
         std::to_string(params_.k));
   }
-  std::vector<std::vector<double>> rows(count);
-  for (std::vector<double>& row : rows) {
-    if (!reader->ReadDoubleVec(&row)) {
+  // The rows stage in one flat buffer; nothing of the model is touched
+  // until every row, the calibration block and their checks have passed.
+  std::vector<double> flat;
+  std::uint64_t width = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t row_width = 0;
+    if (!reader->AppendDoubleVec(&flat, &row_width)) {
       return core::Status::DataLoss("knn reference rows truncated");
+    }
+    if (i == 0) {
+      width = row_width;
+      // Room for every row at once, unless a corrupt count asks for more
+      // than the reader allows any single container to hold.
+      if (width != 0 && count <= io::BinaryReader::kMaxElements / width) {
+        flat.reserve(count * width);
+      }
+    } else if (row_width != width) {
+      return core::Status::DataLoss("knn reference row widths inconsistent");
     }
   }
   std::vector<double> calibration;
   if (!reader->ReadDoubleVec(&calibration)) {
     return core::Status::DataLoss("knn calibration block truncated");
   }
-  if (calibration.empty() != rows.empty()) {
+  if (calibration.empty() != (count == 0)) {
     return core::Status::DataLoss(
         "knn calibration/reference emptiness inconsistent");
   }
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != rows[0].size()) {
-      return core::Status::DataLoss("knn reference row widths inconsistent");
-    }
-  }
-  if (rows.empty()) {
+  if (count == 0) {
     reference_ = linalg::Matrix();
     cache_valid_ = false;
     dist2_ = linalg::Matrix();
   } else {
-    reference_.EnsureShape(rows.size(), rows[0].size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      reference_.SetRow(i, rows[i]);
-    }
+    reference_ = linalg::Matrix::FromFlat(count, width, std::move(flat));
     // The distance cache and per-row calibration rebuild deterministically
     // from the reference rows, so the v1 archive format carries neither.
     RebuildDistanceCache();

@@ -151,8 +151,15 @@ core::Status DetectorFleet::CreateSession(const std::string& stream_id,
     return core::Status::InvalidArgument("session already exists: " +
                                          stream_id);
   }
-  ++shards_[session->shard]->resident_count;
+  Shard* shard = shards_[session->shard].get();
+  Session* raw = session.get();
   sessions_.emplace(stream_id, std::move(session));
+  std::lock_guard<std::mutex> lru_lock(shard->lru_mutex);
+  // Never stepped: the newest member of the cold tail segment, so cold
+  // sessions leave in creation order and before any stepped one.
+  LruInsertBefore(shard, raw, shard->lru_cold);
+  shard->lru_cold = raw;
+  shard->resident_count.fetch_add(1, std::memory_order_relaxed);
   return core::Status::Ok();
 }
 
@@ -326,8 +333,6 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
                                  std::uint64_t wait_ns,
                                  std::uint64_t dequeue_ns) {
   const bool timed_wait = dequeue_ns != 0;
-  ++shard->tick;
-  session->last_used = shard->tick;
   if (!session->health.ok()) {
     // Poisoned session (failed rehydration): drop, don't crash the fleet.
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -342,6 +347,11 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
     return;
   }
   if (options_.max_resident_per_shard > 0) {
+    {
+      std::lock_guard<std::mutex> lock(shard->lru_mutex);
+      LruUnlink(shard, session);
+      LruInsertBefore(shard, session, shard->lru_head);
+    }
     EnforceResidencyCap(shard, session);
   }
   if (timed_wait) {
@@ -367,7 +377,10 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
     shard->step_sketch->Observe(elapsed);
   }
   ++session->since_restore;
-  processed_.fetch_add(1, std::memory_order_relaxed);
+  // Release: publishes the step's flight-ring writes, before `on_result`
+  // runs, to a stall dump (see `DumpStalledShardFlights`), also when the
+  // worker then wedges inside the callback.
+  processed_.fetch_add(1, std::memory_order_release);
   session->processed.fetch_add(1, std::memory_order_relaxed);
   session->last_step_t.store(session->detector->t(),
                              std::memory_order_relaxed);
@@ -437,7 +450,7 @@ bool DetectorFleet::RestoreSession(Session* session) {
     auto detector =
         core::BuildDetector(session->config.spec, session->config.score,
                             session->config.detector, session->config.seed);
-    std::istringstream in(blob);
+    std::istringstream in(std::move(blob));
     status = detector->LoadState(&in);
     if (status.ok()) session->detector = std::move(detector);
   }
@@ -458,17 +471,18 @@ bool DetectorFleet::RestoreSession(Session* session) {
   session->resident.store(true, std::memory_order_relaxed);
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
   if (rehydrations_counter_ != nullptr) rehydrations_counter_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    ++shard->resident_count;
-  }
+  std::lock_guard<std::mutex> lock(shard->lru_mutex);
+  LruInsertBefore(shard, session, shard->lru_head);
+  shard->resident_count.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool DetectorFleet::EvictSession(Shard* shard, Session* session) {
   std::ostringstream out;
   core::Status status = session->detector->SaveState(&out);
-  if (status.ok()) status = options_.store->Put(session->id, out.str());
+  if (status.ok()) {
+    status = options_.store->Put(session->id, std::move(out).str());
+  }
   if (!status.ok()) {
     // A session that cannot be serialised simply stays resident; eviction
     // is an optimisation, not a correctness requirement.
@@ -478,43 +492,53 @@ bool DetectorFleet::EvictSession(Shard* shard, Session* session) {
   session->resident.store(false, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   if (evictions_counter_ != nullptr) evictions_counter_->Increment();
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  --shard->resident_count;
+  std::lock_guard<std::mutex> lock(shard->lru_mutex);
+  LruUnlink(shard, session);
+  shard->resident_count.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
 void DetectorFleet::EnforceResidencyCap(Shard* shard, Session* current) {
-  // Victims whose eviction failed this pass (SaveState unimplemented, the
-  // store's disk full, ...). They must be skipped on reselection: a failed
-  // eviction changes neither `resident` nor `last_used`, so without the
-  // skip list the loop would pick the same LRU victim forever and wedge
-  // the shard worker.
-  std::vector<Session*> unevictable;
-  while (true) {
+  // Victims come off the back of the recency list. One whose eviction
+  // fails (SaveState unimplemented, the store's disk full, ...) stays
+  // linked, so the walk resumes at its predecessor instead of re-reading
+  // the tail — re-picking the same victim forever would wedge the shard
+  // worker. Only this worker unlinks sessions of its shard, so a linked
+  // `unevictable` keeps a valid predecessor across the unlocked evictions.
+  Session* unevictable = nullptr;
+  // Relaxed: only this worker lowers the count; a concurrent
+  // CreateSession raising it is picked up by the next event.
+  while (shard->resident_count.load(std::memory_order_relaxed) >
+         options_.max_resident_per_shard) {
     Session* victim = nullptr;
     {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      if (shard->resident_count <= options_.max_resident_per_shard) return;
-      std::uint64_t oldest = 0;
-      for (const auto& [id, session] : sessions_) {
-        if (session->shard != current->shard) continue;
-        if (session->detector == nullptr) continue;
-        if (session.get() == current) continue;
-        if (std::find(unevictable.begin(), unevictable.end(),
-                      session.get()) != unevictable.end()) {
-          continue;
-        }
-        if (victim == nullptr || session->last_used < oldest) {
-          victim = session.get();
-          oldest = session->last_used;
-        }
-      }
+      std::lock_guard<std::mutex> lock(shard->lru_mutex);
+      victim = unevictable == nullptr ? shard->lru_tail : unevictable->lru_prev;
     }
-    // No evictable candidate left (only the active session is resident,
-    // or everything else proved unevictable): stay over the cap.
-    if (victim == nullptr) return;
-    if (!EvictSession(shard, victim)) unevictable.push_back(victim);
+    // Reached the front, where the active session sits: nothing else is
+    // evictable, so stay over the cap.
+    if (victim == nullptr || victim == current) return;
+    if (!EvictSession(shard, victim)) unevictable = victim;
   }
+}
+
+void DetectorFleet::LruInsertBefore(Shard* shard, Session* session,
+                                    Session* next) {
+  session->lru_next = next;
+  session->lru_prev = next != nullptr ? next->lru_prev : shard->lru_tail;
+  (session->lru_prev != nullptr ? session->lru_prev->lru_next
+                                : shard->lru_head) = session;
+  (next != nullptr ? next->lru_prev : shard->lru_tail) = session;
+}
+
+void DetectorFleet::LruUnlink(Shard* shard, Session* session) {
+  if (shard->lru_cold == session) shard->lru_cold = session->lru_next;
+  (session->lru_prev != nullptr ? session->lru_prev->lru_next
+                                : shard->lru_head) = session->lru_next;
+  (session->lru_next != nullptr ? session->lru_next->lru_prev
+                                : shard->lru_tail) = session->lru_prev;
+  session->lru_prev = nullptr;
+  session->lru_next = nullptr;
 }
 
 std::size_t DetectorFleet::Poll(const std::string& stream_id,
@@ -601,7 +625,7 @@ void DetectorFleet::HoldShardForTest(std::size_t shard_index, bool hold) {
 
 bool DetectorFleet::healthy() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->stalled.load(std::memory_order_relaxed)) return false;
+    if (shard->stalled.load(std::memory_order_acquire)) return false;
   }
   return true;
 }
@@ -642,14 +666,18 @@ void DetectorFleet::WatchdogLoop() {
       }
       if (stagnant_since[i] == 0) stagnant_since[i] = now;
       if (now - stagnant_since[i] >= window_ns &&
-          !shard->stalled.exchange(true, std::memory_order_relaxed)) {
-        // Stall transition: count it, mark the shard, and capture the
-        // post-mortem while the evidence is still in the rings.
+          !shard->stalled.load(std::memory_order_relaxed)) {
+        // Stall transition: count it, capture the post-mortem while the
+        // evidence is still in the rings, then mark the shard. Release
+        // (only this thread writes `stalled`): whoever sees the mark sees
+        // a finished dump, and a hold released after it cannot let the
+        // worker write a ring the dump is still reading.
         if (shard_stalls_counter_ != nullptr) {
           shard_stalls_counter_->Increment();
         }
         if (shard->stalled_gauge != nullptr) shard->stalled_gauge->Set(1.0);
         DumpStalledShardFlights(i);
+        shard->stalled.store(true, std::memory_order_release);
       }
       if (shard->stalled.load(std::memory_order_relaxed)) ++stalled_count;
     }
@@ -660,6 +688,9 @@ void DetectorFleet::WatchdogLoop() {
 }
 
 void DetectorFleet::DumpStalledShardFlights(std::size_t shard_index) {
+  // Acquire: pairs with the release in `ProcessEvent`, so every ring
+  // write of a step the fleet has counted happens before this dump.
+  processed_.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   for (const auto& [id, session] : sessions_) {
     if (session->shard != shard_index) continue;
@@ -750,9 +781,9 @@ std::vector<ShardSnapshot> DetectorFleet::SnapshotShards() const {
     ShardSnapshot snap;
     snap.index = i;
     snap.queue_depth = shard->queue.size();
-    snap.resident = shard->resident_count;
+    snap.resident = shard->resident_count.load(std::memory_order_relaxed);
     snap.processed = shard->processed.load(std::memory_order_relaxed);
-    snap.stalled = shard->stalled.load(std::memory_order_relaxed);
+    snap.stalled = shard->stalled.load(std::memory_order_acquire);
     snap.last_progress_ns =
         shard->last_progress_ns.load(std::memory_order_relaxed);
     snapshots.push_back(snap);
@@ -775,7 +806,8 @@ FleetStats DetectorFleet::Stats() const {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   stats.sessions = sessions_.size();
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    stats.resident_sessions += shard->resident_count;
+    stats.resident_sessions +=
+        shard->resident_count.load(std::memory_order_relaxed);
   }
   return stats;
 }

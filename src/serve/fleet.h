@@ -111,7 +111,10 @@ struct FleetOptions {
 
   /// LRU session-cache bound per shard: when more sessions than this are
   /// resident on a shard, the least-recently-used ones are evicted to the
-  /// checkpoint `store`. 0 keeps every session resident.
+  /// checkpoint `store`. Sessions that have never been stepped count as
+  /// older than every stepped one and go first, oldest-created first.
+  /// Choosing a victim is O(1) (the back of a per-shard recency list).
+  /// 0 keeps every session resident.
   std::size_t max_resident_per_shard = 0;
   /// Debug / test knob: evict a session after every K processed events
   /// regardless of cache pressure (0 disables). The golden fleet test
@@ -364,7 +367,11 @@ class DetectorFleet {
     /// Sticky failure (rehydration / eviction error); poisons the session.
     core::Status health;
     /// Start of the worker-written per-event fields (see `shard` above).
-    alignas(64) std::uint64_t last_used = 0;  // shard tick of the last event
+    /// Links in the shard's recency list, which holds exactly the resident
+    /// sessions (front = most recently stepped); guarded by the shard's
+    /// `lru_mutex`.
+    alignas(64) Session* lru_prev = nullptr;
+    Session* lru_next = nullptr;
     std::uint64_t since_restore = 0;    // events since creation/rehydration
     /// Residency mirror of `detector != nullptr`, readable off-thread by
     /// `SnapshotSessions` without touching the worker-owned pointer.
@@ -386,8 +393,22 @@ class DetectorFleet {
         : queue(capacity, watermark) {}
     harness::BoundedQueue<QueuedEvent> queue;
     std::thread worker;
-    std::uint64_t tick = 0;       // worker-only LRU clock
-    std::size_t resident_count = 0;  // guarded by sessions_mutex_
+    /// Recency list of the shard's resident sessions: `lru_head` is the
+    /// most recently stepped, `lru_tail` the next eviction victim. The
+    /// never-stepped sessions form the tail segment starting at
+    /// `lru_cold` (newest-created first, so the oldest-created is evicted
+    /// first); null when there are none. Written by the shard worker
+    /// (step, evict, rehydrate) and by `CreateSession`; lock order is
+    /// `sessions_mutex_` -> `lru_mutex`, never the reverse.
+    std::mutex lru_mutex;
+    Session* lru_head = nullptr;
+    Session* lru_tail = nullptr;
+    Session* lru_cold = nullptr;
+    /// Length of the recency list. Relaxed: it moves with the list under
+    /// `lru_mutex`, and the off-thread readers (`Stats`, `SnapshotShards`)
+    /// only need a recent value, so the worker never takes
+    /// `sessions_mutex_` to keep it.
+    std::atomic<std::size_t> resident_count{0};
     std::mutex results_mutex;     // guards Session::results of this shard
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* step_ns = nullptr;
@@ -405,6 +426,8 @@ class DetectorFleet {
     /// signal — it advances even when metrics are off).
     alignas(64) std::atomic<std::uint64_t> processed{0};
     std::atomic<std::uint64_t> last_progress_ns{0};
+    /// Written by the watchdog alone, set with release once the stall
+    /// dump is finished; readers acquire.
     std::atomic<bool> stalled{false};
     /// Test hook (`HoldShardForTest`): the worker parks on `hold_cv`
     /// before its next dequeue while this is set.
@@ -440,11 +463,17 @@ class DetectorFleet {
   /// Returns false when serialisation or the store write fails; the
   /// session then simply stays resident.
   bool EvictSession(Shard* shard, Session* session);
-  /// Evicts LRU sessions of `shard` (other than `current`) while the
-  /// shard's resident count exceeds the cache bound. Sessions whose
-  /// eviction fails are skipped for the rest of the pass, so a persistent
-  /// store error leaves the shard over its cap rather than wedged.
+  /// Evicts sessions of `shard` from the back of its recency list (never
+  /// `current`, which sits at the front) while the shard's resident count
+  /// exceeds the cache bound. O(1) per victim: no scan over `sessions_`,
+  /// no allocation, no `sessions_mutex_`. A victim whose eviction fails
+  /// stays linked and the walk moves past it, so a persistent store error
+  /// leaves the shard over its cap rather than wedged.
   void EnforceResidencyCap(Shard* shard, Session* current);
+  /// Recency-list primitives; the caller holds `shard->lru_mutex` and
+  /// keeps `resident_count` in step. `next == nullptr` appends at the back.
+  static void LruInsertBefore(Shard* shard, Session* session, Session* next);
+  static void LruUnlink(Shard* shard, Session* session);
   Session* FindSession(const std::string& stream_id) const;
   void FinishEvent();
   /// Builds one `/sessions` row. Caller holds `sessions_mutex_`.
@@ -465,6 +494,8 @@ class DetectorFleet {
   bool stopped_ = false;  // guarded by sessions_mutex_
 
   std::atomic<std::uint64_t> submitted_{0};
+  /// Steps taken fleet-wide. Release increments right after each step,
+  /// acquired by the watchdog's stall dump (the flight rings it reads).
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> throttled_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -1,11 +1,19 @@
 #include "src/models/knn_model.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/core/training_set.h"
+#include "src/io/binary_io.h"
 
 namespace streamad::models {
 namespace {
@@ -25,14 +33,106 @@ core::FeatureVector SineWindow(double phase, std::size_t w, std::size_t n,
   return fv;
 }
 
-core::TrainingSet SineTrainingSet(std::size_t m, std::uint64_t seed) {
+core::TrainingSet SineTrainingSet(std::size_t m, std::uint64_t seed,
+                                  std::size_t w = 8, std::size_t n = 2) {
   Rng rng(seed);
   core::TrainingSet set(m);
   for (std::size_t i = 0; i < m; ++i) {
-    set.Add(SineWindow(rng.Uniform(0.0, 6.28), 8, 2, 0.05, &rng,
+    set.Add(SineWindow(rng.Uniform(0.0, 6.28), w, n, 0.05, &rng,
                        static_cast<std::int64_t>(i)));
   }
   return set;
+}
+
+// ---- Scalar reference: the model's definition, one distance at a time --
+
+double ReferenceSquaredDistance(std::span<const double> a,
+                                std::span<const double> b) {
+  double d2 = 0.0;
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    const double d = a[j] - b[j];
+    d2 += d * d;
+  }
+  return d2;
+}
+
+/// Mean of the square roots of the k smallest entries, summed ascending.
+double ReferenceMeanOfKSmallest(std::vector<double> squared, std::size_t k) {
+  std::sort(squared.begin(), squared.end());
+  k = std::min(k, squared.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < k; ++i) sum += std::sqrt(squared[i]);
+  return sum / static_cast<double>(k);
+}
+
+/// Mean k-NN distance of `probe` to the rows of `train`, skipping `skip`.
+double ReferenceMeanKnn(const core::TrainingSet& train,
+                        std::span<const double> probe, std::size_t skip,
+                        std::size_t k) {
+  std::vector<double> squared;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    if (i == skip) continue;
+    squared.push_back(
+        ReferenceSquaredDistance(probe, train.at(i).window.data()));
+  }
+  return ReferenceMeanOfKSmallest(std::move(squared), k);
+}
+
+std::vector<double> ReferenceCalibration(const core::TrainingSet& train,
+                                         std::size_t k) {
+  if (train.size() < 2) return {0.0};
+  std::vector<double> calibration;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    calibration.push_back(
+        ReferenceMeanKnn(train, train.at(i).window.data(), i, k));
+  }
+  std::sort(calibration.begin(), calibration.end());
+  return calibration;
+}
+
+double ReferenceScore(const core::TrainingSet& train,
+                      const std::vector<double>& calibration,
+                      const core::FeatureVector& probe, std::size_t k) {
+  const double distance =
+      ReferenceMeanKnn(train, probe.window.data(), train.size(), k);
+  const auto it =
+      std::lower_bound(calibration.begin(), calibration.end(), distance);
+  return static_cast<double>(it - calibration.begin()) /
+         static_cast<double>(calibration.size());
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void ExpectSameBits(const std::vector<double>& actual,
+                    const std::vector<double>& expected,
+                    const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(Bits(actual[i]), Bits(expected[i])) << what << " [" << i << "]";
+  }
+}
+
+/// Fits a model on `train` and pins its calibration and its scores on a
+/// few probes bit for bit against the scalar reference.
+void ExpectMatchesScalarReference(const core::TrainingSet& train,
+                                  std::size_t k, std::uint64_t probe_seed) {
+  const std::string what = "m=" + std::to_string(train.size()) +
+                           " k=" + std::to_string(k);
+  KnnModel::Params params;
+  params.k = k;
+  KnnModel model(params);
+  model.Fit(train);
+  const std::vector<double> calibration = ReferenceCalibration(train, k);
+  ExpectSameBits(model.calibration_distances(), calibration, what);
+  Rng rng(probe_seed);
+  for (int i = 0; i < 4; ++i) {
+    const core::FeatureVector probe =
+        SineWindow(rng.Uniform(0.0, 6.28), train.at(0).w(),
+                   train.at(0).channels(), 0.3, &rng, 900 + i);
+    EXPECT_EQ(Bits(model.AnomalyScore(probe)),
+              Bits(ReferenceScore(train, calibration, probe, k)))
+        << what << " probe " << i;
+  }
 }
 
 TEST(KnnModelTest, IsScoringModel) {
@@ -150,6 +250,69 @@ TEST(KnnModelTest, SingleMemberReference) {
   core::FeatureVector probe = tiny.at(0);
   probe.window.at_flat(0) += 1.0;
   EXPECT_DOUBLE_EQ(model.AnomalyScore(probe), 1.0);
+}
+
+TEST(KnnModelTest, CachedDistancesMatchScalarReferenceBitForBit) {
+  // Pins the model's distances bit for bit to the scalar reference above,
+  // so a faster distance loop has to keep its add order. The cached path:
+  // tiny references (k above m included) and sizes around the default
+  // 64-row reservoir.
+  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}) {
+    const core::TrainingSet train = SineTrainingSet(m, 30 + m, 8, 3);
+    ExpectMatchesScalarReference(train, 5, 31);
+    ExpectMatchesScalarReference(train, 1, 32);
+  }
+}
+
+TEST(KnnModelTest, UncachedDistancesMatchScalarReferenceBitForBit) {
+  // Above kMaxCachedRows the calibration runs the per-row probe sweep with
+  // `skip` = the row itself.
+  for (std::size_t extra = 1; extra <= 4; ++extra) {
+    const std::size_t m = KnnModel::kMaxCachedRows + extra;
+    const core::TrainingSet train = SineTrainingSet(m, 40 + extra, 4, 3);
+    ExpectMatchesScalarReference(train, 5, 41);
+  }
+}
+
+TEST(KnnModelTest, RoundTripThenInPlaceFinetuneMatchesUninterrupted) {
+  constexpr std::size_t kM = 64;
+  const core::TrainingSet train = SineTrainingSet(kM, 50, 8, 3);
+  KnnModel uninterrupted(KnnModel::Params{});
+  uninterrupted.Fit(train);
+
+  std::stringstream archive;
+  io::BinaryWriter writer(&archive);
+  ASSERT_TRUE(uninterrupted.SaveState(&writer).ok());
+  KnnModel resumed(KnnModel::Params{});
+  io::BinaryReader reader(&archive);
+  ASSERT_TRUE(resumed.LoadState(&reader).ok());
+  ExpectSameBits(resumed.calibration_distances(),
+                 uninterrupted.calibration_distances(), "after LoadState");
+
+  // Replace a few rows in place: the streaming pattern that takes the
+  // incremental Finetune path (the new rows' distances against the cache
+  // that LoadState rebuilt).
+  core::TrainingSet next = train;
+  Rng rng(51);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{13},
+                              std::size_t{62}}) {
+    next.ReplaceAt(i, SineWindow(rng.Uniform(0.0, 6.28), 8, 3, 0.05, &rng,
+                                 static_cast<std::int64_t>(kM + i)));
+  }
+  uninterrupted.Finetune(next);
+  resumed.Finetune(next);
+  const std::vector<double> calibration = ReferenceCalibration(next, 5);
+  ExpectSameBits(uninterrupted.calibration_distances(), calibration,
+                 "uninterrupted after Finetune");
+  ExpectSameBits(resumed.calibration_distances(), calibration,
+                 "resumed after Finetune");
+  for (int i = 0; i < 8; ++i) {
+    const core::FeatureVector probe =
+        SineWindow(rng.Uniform(0.0, 6.28), 8, 3, 0.3, &rng, 1000 + i);
+    const double expected = ReferenceScore(next, calibration, probe, 5);
+    EXPECT_EQ(Bits(uninterrupted.AnomalyScore(probe)), Bits(expected)) << i;
+    EXPECT_EQ(Bits(resumed.AnomalyScore(probe)), Bits(expected)) << i;
+  }
 }
 
 TEST(KnnModelDeathTest, PredictAborts) {

@@ -16,10 +16,12 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -559,6 +561,16 @@ TEST(NetIngressTest, ResultsDeliveredAfterServiceDestructionAreDiscarded) {
       batch.events.push_back(wire::WireEvent{"sensor-0", {1.0, 2.0, 3.0}});
     }
     ASSERT_TRUE(client.SendEventBatch(batch).ok());
+    // Destroy the service only once it has admitted the whole batch onto
+    // the held shard: otherwise some events never reach the fleet and the
+    // late deliveries this test is about do not all happen.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (fleet.Stats().submitted < kEvents) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "batch never admitted";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     client.Close();
   }  // ~IngressService with every event still parked on the held shard
 

@@ -310,10 +310,12 @@ TEST(ServeFleetTest, BackpressureStateMachine) {
   // admission sequence is then fully deterministic: two events admit as
   // kQueued (depth 1, 2), two as kThrottled (depth 3, 4 — at/over the
   // watermark), and the fifth is kDropped (queue full).
+  // `entered` is the entry latch: the callback sets it before blocking on
+  // `release`, so the feeder knows the worker is inside the callback.
   std::mutex latch_mutex;
   std::condition_variable latch_cv;
+  bool entered = false;
   bool release = false;
-  std::atomic<int> callbacks{0};
 
   FleetOptions options;
   options.shards = 1;
@@ -330,30 +332,37 @@ TEST(ServeFleetTest, BackpressureStateMachine) {
   config.detector.window = 2;
   config.detector.initial_train_steps = 1;
   config.on_result = [&](const std::string&, const SessionStepResult&) {
-    // Relaxed: a pure event counter; the latch below does the ordering.
-    callbacks.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lock(latch_mutex);
+    entered = true;
+    latch_cv.notify_all();
     latch_cv.wait(lock, [&] { return release; });
   };
   ASSERT_TRUE(fleet.CreateSession("wedged", config).ok());
 
   const core::StreamVector v{0.5, 1.0};
   // Feed one event at a time until the first scored step wedges the
-  // worker inside the blocking callback. `processed` advances before the
-  // callback runs, so each iteration observes its event fully picked up
-  // — which means the queue is empty at the moment the worker blocks.
+  // worker inside the blocking callback. After each submit, wait until
+  // either the callback latched (the worker is wedged and its queue is
+  // empty) or the shard finished the event without a result. The shard's
+  // own `processed` counter only advances once `ProcessEvent`, callback
+  // included, has returned; the fleet-wide `Stats().processed` advances
+  // before the callback runs and so cannot tell the two cases apart.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   std::uint64_t submitted = 0;
-  while (callbacks.load(std::memory_order_relaxed) == 0) {
+  bool wedged = false;
+  while (!wedged) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "detector never produced a scored step";
     ASSERT_EQ(fleet.Submit("wedged", v), Admission::kQueued);
     ++submitted;
-    while (fleet.Stats().processed < submitted &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    while (!entered && fleet.SnapshotShards()[0].processed < submitted) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "event " << submitted << " never finished";
+      latch_cv.wait_for(lock, std::chrono::milliseconds(1));
     }
+    wedged = entered;
   }
 
   EXPECT_EQ(fleet.Submit("wedged", v), Admission::kQueued);
@@ -427,6 +436,88 @@ TEST(ServeFleetTest, UnevictableSessionsDoNotWedgeTheShardWorker) {
   for (const std::string& id : ids) {
     EXPECT_TRUE(fleet.SessionHealth(id).ok()) << id;
   }
+}
+
+/// Ids of the resident sessions, sorted (SnapshotSessions sorts by id).
+std::vector<std::string> ResidentIds(const DetectorFleet& fleet) {
+  std::vector<std::string> ids;
+  for (const SessionSnapshot& session : fleet.SnapshotSessions()) {
+    if (session.resident) ids.push_back(session.id);
+  }
+  return ids;
+}
+
+/// Submits one event for `id` into an idle fleet and waits for it, so
+/// every step (and its evictions) completes before the next one starts.
+void StepAndWait(DetectorFleet* fleet, const std::string& id,
+                 const core::StreamVector& values) {
+  ASSERT_EQ(fleet->Submit(id, values), Admission::kQueued) << id;
+  fleet->WaitIdle();
+}
+
+TEST(ServeFleetTest, LruEvictsTheLeastRecentlySteppedSession) {
+  MemoryCheckpointStore store;
+  FleetOptions options;
+  options.shards = 1;
+  options.store = &store;
+  options.max_resident_per_shard = 2;
+  DetectorFleet fleet(options);
+  const std::vector<std::string> ids = {"a", "b", "c", "d"};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(fleet.CreateSession(ids[i], ConfigFor(i)).ok());
+  }
+  EXPECT_EQ(fleet.Stats().resident_sessions, ids.size());
+
+  const data::LabeledSeries series = MakeSeries(0, 8);
+  const std::vector<std::string> order = {"a", "b", "c", "a", "d"};
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    StepAndWait(&fleet, order[t], series.At(t));
+    EXPECT_EQ(fleet.SnapshotShards()[0].resident,
+              options.max_resident_per_shard)
+        << "after step " << t;
+    EXPECT_EQ(fleet.Stats().resident_sessions,
+              options.max_resident_per_shard)
+        << "after step " << t;
+  }
+  // c was stepped after a's first step, but a was stepped again since.
+  EXPECT_EQ(ResidentIds(fleet), (std::vector<std::string>{"a", "d"}));
+  fleet.Stop();
+  EXPECT_EQ(fleet.Stats().processed, order.size());
+  // Cold b and c went first; then d, a, b and c each made room for the
+  // step that brought b, c, a and d back.
+  EXPECT_EQ(fleet.Stats().evictions, 6u);
+  EXPECT_EQ(fleet.Stats().rehydrations, 4u);
+}
+
+TEST(ServeFleetTest, LruEvictsNeverSteppedSessionsFirstInCreationOrder) {
+  MemoryCheckpointStore store;
+  FleetOptions options;
+  options.shards = 1;
+  options.store = &store;
+  options.max_resident_per_shard = 3;
+  DetectorFleet fleet(options);
+  const data::LabeledSeries series = MakeSeries(0, 8);
+  ASSERT_TRUE(fleet.CreateSession("a", ConfigFor(0)).ok());
+  ASSERT_TRUE(fleet.CreateSession("b", ConfigFor(1)).ok());
+  StepAndWait(&fleet, "a", series.At(0));
+  StepAndWait(&fleet, "b", series.At(1));
+  // c, d and e are created after b's step and never stepped themselves.
+  ASSERT_TRUE(fleet.CreateSession("c", ConfigFor(2)).ok());
+  ASSERT_TRUE(fleet.CreateSession("d", ConfigFor(3)).ok());
+  ASSERT_TRUE(fleet.CreateSession("e", ConfigFor(4)).ok());
+  EXPECT_EQ(fleet.Stats().resident_sessions, 5u);
+
+  // Two must go: the never-stepped ones leave before the stepped b, and
+  // among themselves the oldest-created leave first.
+  StepAndWait(&fleet, "a", series.At(2));
+  EXPECT_EQ(ResidentIds(fleet), (std::vector<std::string>{"a", "b", "e"}));
+  EXPECT_EQ(fleet.SnapshotShards()[0].resident, 3u);
+  EXPECT_EQ(fleet.Stats().evictions, 2u);
+
+  // e is still the coldest: it goes before the stepped b when c returns.
+  StepAndWait(&fleet, "c", series.At(0));
+  EXPECT_EQ(ResidentIds(fleet), (std::vector<std::string>{"a", "b", "c"}));
+  fleet.Stop();
 }
 
 TEST(ServeFleetTest, DiskStoreDistinguishesKeysThatSanitiseIdentically) {

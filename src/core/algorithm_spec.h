@@ -69,12 +69,6 @@ std::string SpecLabel(const AlgorithmSpec& spec);
 /// The 26 combinations of Table I, in the paper's row order.
 std::vector<AlgorithmSpec> AllPaperAlgorithms();
 
-/// Transitional alias, one PR long: the detector hyperparameters moved to
-/// the unified `DetectorConfig` (src/core/detector_config.h), which also
-/// absorbed `StreamingDetector::Options`.
-using DetectorParams [[deprecated("use core::DetectorConfig")]] =
-    DetectorConfig;
-
 /// Builds the model component of a spec (exposed for targeted tests).
 std::unique_ptr<Model> BuildModel(ModelType model,
                                   const DetectorConfig& config,

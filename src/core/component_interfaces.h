@@ -2,7 +2,6 @@
 #define STREAMAD_CORE_COMPONENT_INTERFACES_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 
 #include "src/common/op_counters.h"
@@ -138,16 +137,6 @@ class Model {
   /// mismatch (the message names the mismatching knob); the model is left
   /// unusable on failure and must be re-`Fit` or re-loaded.
   virtual Status LoadState(io::BinaryReader* reader);
-
-  /// Transitional shims, one PR long: the pre-migration `std::ostream`
-  /// checkpoint entry points, forwarding to the archive-based virtuals
-  /// above. The byte format is unchanged — an archive written through the
-  /// shim is bit-identical to one written through a `BinaryWriter` on the
-  /// same stream.
-  [[deprecated("use SaveState(io::BinaryWriter*)")]]
-  bool SaveState(std::ostream* out) const;
-  [[deprecated("use LoadState(io::BinaryReader*)")]]
-  bool LoadState(std::istream* in);
 };
 
 /// Nonconformity measure (paper Def. III.3): maps a feature vector and the

@@ -24,18 +24,6 @@ Status Model::LoadState(io::BinaryReader* /*reader*/) {
                                " does not support checkpointing");
 }
 
-bool Model::SaveState(std::ostream* out) const {
-  STREAMAD_CHECK(out != nullptr);
-  io::BinaryWriter writer(out);
-  return SaveState(&writer).ok();
-}
-
-bool Model::LoadState(std::istream* in) {
-  STREAMAD_CHECK(in != nullptr);
-  io::BinaryReader reader(in);
-  return LoadState(&reader).ok();
-}
-
 WindowRepresentation::WindowRepresentation(std::size_t window)
     : window_(window) {
   STREAMAD_CHECK_MSG(window > 0, "window must be positive");
@@ -224,11 +212,21 @@ void StreamingDetector::set_recorder(obs::Recorder* recorder) {
                                                : recorder->op_counters());
 }
 
+// STREAMAD_HOT: the one producer of `obs::StepObservation`, run at the
+// end of every step that has a recorder attached or a caller asking.
 void StreamingDetector::FinishStep(const StreamVector& s,
-                                   const StepResult& result) {
-  if (recorder_ == nullptr) return;
-  obs::StepContext context;
-  if (recorder_->wants_step_context() && !s.empty()) {
+                                   const StepResult& result,
+                                   obs::StepObservation* requested) {
+  if (recorder_ == nullptr && requested == nullptr) return;
+  obs::StepObservation local;
+  obs::StepObservation& step = requested != nullptr ? *requested : local;
+  step.t = t_;
+  step.scored = result.scored;
+  step.finetuned = result.finetuned;
+  step.nonconformity = result.nonconformity;
+  step.anomaly_score = result.anomaly_score;
+  // `Observe` already rejected an empty `s`.
+  if (requested != nullptr || recorder_->wants_step_digest()) {
     double min = s[0];
     double max = s[0];
     double sum = 0.0;
@@ -237,19 +235,19 @@ void StreamingDetector::FinishStep(const StreamVector& s,
       if (v > max) max = v;
       sum += v;
     }
-    context.input_min = min;
-    context.input_max = max;
-    context.input_mean = sum / static_cast<double>(s.size());
-    context.drift_statistic = drift_->DriftStatistic();
-    context.train_size = strategy_->set().size();
+    step.input_min = min;
+    step.input_max = max;
+    step.input_mean = sum / static_cast<double>(s.size());
+    step.drift_statistic = drift_->DriftStatistic();
+    step.train_size = strategy_->set().size();
   }
-  recorder_->EndStep(t_, result.scored, result.nonconformity,
-                     result.anomaly_score, result.finetuned, context);
+  if (recorder_ != nullptr) recorder_->EndStep(step);
 }
 
-StreamingDetector::StepResult StreamingDetector::Step(const StreamVector& s) {
+StreamingDetector::StepResult StreamingDetector::Step(
+    const StreamVector& s, obs::StepObservation* observation) {
   ++t_;
-  if (recorder_ != nullptr) recorder_->BeginStep(t_);
+  if (recorder_ != nullptr) recorder_->BeginStep();
   StepResult result;
 
   FeatureVector x;
@@ -261,7 +259,7 @@ StreamingDetector::StepResult StreamingDetector::Step(const StreamVector& s) {
     if (ready) x = representation_.Current(t_);
   }
   if (!ready) {  // warm-up
-    FinishStep(s, result);
+    FinishStep(s, result, observation);
     return result;
   }
   ++scorable_steps_;
@@ -288,7 +286,7 @@ StreamingDetector::StepResult StreamingDetector::Step(const StreamVector& s) {
       trained_ = true;
       if (recorder_ != nullptr) recorder_->OnFit();
     }
-    FinishStep(s, result);
+    FinishStep(s, result, observation);
     return result;
   }
 
@@ -323,7 +321,7 @@ StreamingDetector::StepResult StreamingDetector::Step(const StreamVector& s) {
     ++finetune_count_;
     result.finetuned = true;
   }
-  FinishStep(s, result);
+  FinishStep(s, result, observation);
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <memory>
 
 #include "src/core/component_interfaces.h"
@@ -12,6 +13,7 @@
 
 namespace streamad::obs {
 class Recorder;
+struct StepObservation;
 }
 
 namespace streamad::core {
@@ -65,10 +67,6 @@ class WindowRepresentation {
 ///      drift detector may trigger a one-epoch fine-tune.
 class StreamingDetector {
  public:
-  /// Transitional alias, one PR long: the nested options struct was merged
-  /// into the unified `core::DetectorConfig` (src/core/detector_config.h).
-  using Options [[deprecated("use core::DetectorConfig")]] = DetectorConfig;
-
   /// Outcome of one `Step`.
   struct StepResult {
     /// False during warm-up and the initial training phase.
@@ -91,8 +89,11 @@ class StreamingDetector {
                     std::unique_ptr<NonconformityMeasure> nonconformity,
                     std::unique_ptr<AnomalyScorer> scorer);
 
-  /// Processes the next stream vector.
-  StepResult Step(const StreamVector& s);
+  /// Processes the next stream vector. A non-null `observation` receives
+  /// the step's full `obs::StepObservation` (input digest included) — the
+  /// same record an attached recorder is handed.
+  StepResult Step(const StreamVector& s,
+                  obs::StepObservation* observation = nullptr);
 
   /// Current stream step (number of `Step` calls so far).
   std::int64_t t() const { return t_; }
@@ -136,11 +137,13 @@ class StreamingDetector {
   Status LoadState(std::istream* in);
 
  private:
-  /// Closes the step on the attached recorder. When a flight recorder is
-  /// enabled it also assembles the per-step context (input digest, drift
-  /// statistic, |R_train|) — observability reads only, never arithmetic
-  /// that feeds back into the pipeline.
-  void FinishStep(const StreamVector& s, const StepResult& result);
+  /// Builds the step's `obs::StepObservation` when a recorder or the
+  /// caller consumes it, and closes the step on the recorder. The input
+  /// digest, drift statistic and |R_train| are computed only when the
+  /// caller asked or the recorder keeps them — observability reads only,
+  /// never arithmetic that feeds back into the pipeline.
+  void FinishStep(const StreamVector& s, const StepResult& result,
+                  obs::StepObservation* requested);
 
   std::size_t window_;
   std::size_t initial_train_steps_;

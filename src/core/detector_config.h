@@ -18,9 +18,7 @@ namespace streamad::core {
 /// the paper's description where stated (window 100, initial training
 /// 5000) and sensible laptop-scale values elsewhere. Consumed by
 /// `BuildDetector`, the `StreamingDetector` constructor and the serving
-/// layer's session factory; this replaces the former split between
-/// `StreamingDetector::Options` and `DetectorParams`, which duplicated
-/// `window` and `initial_train_steps` and let the two drift.
+/// layer's session factory.
 struct DetectorConfig {
   /// Data representation length w.
   std::size_t window = 100;

@@ -76,14 +76,6 @@ RunTrace RunDetector(core::StreamingDetector* detector,
   return trace;
 }
 
-RunTrace RunDetector(core::StreamingDetector* detector,
-                     const data::LabeledSeries& series,
-                     obs::Recorder* recorder) {
-  RunOptions options;
-  options.recorder = recorder;
-  return RunDetector(detector, series, options);
-}
-
 MetricSummary MetricSummary::Mean(const std::vector<MetricSummary>& parts) {
   STREAMAD_CHECK(!parts.empty());
   MetricSummary mean;

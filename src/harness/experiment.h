@@ -80,13 +80,6 @@ RunTrace RunDetector(core::StreamingDetector* detector,
                      const data::LabeledSeries& series,
                      const RunOptions& options = RunOptions());
 
-/// Transitional overload, one PR long: the trailing recorder argument
-/// folded into `RunOptions::recorder`.
-[[deprecated("pass the recorder via RunOptions::recorder")]]
-RunTrace RunDetector(core::StreamingDetector* detector,
-                     const data::LabeledSeries& series,
-                     obs::Recorder* recorder);
-
 /// One Table III cell: the five reported metrics.
 struct MetricSummary {
   double precision = 0.0;

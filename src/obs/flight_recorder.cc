@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/obs/step_json.h"
 
 namespace streamad::obs {
 namespace {
@@ -21,6 +22,40 @@ void AppendF(std::string* out, const char* format, ...) {
   va_end(args);
   out->append(buffer);
 }
+
+}  // namespace
+
+void AppendStepJson(std::string_view label, const StepObservation& step,
+                    std::string* line) {
+  if (!label.empty()) {
+    *line += "\"run\":\"";
+    line->append(label);  // labels are identifiers; no escaping needed
+    *line += "\",";
+  }
+  AppendF(line, "\"t\":%" PRId64, step.t);
+  *line += step.scored ? ",\"scored\":true" : ",\"scored\":false";
+  if (step.scored) {
+    AppendF(line, ",\"a\":%.17g,\"f\":%.17g", step.nonconformity,
+            step.anomaly_score);
+  }
+  *line += step.finetuned ? ",\"finetuned\":true" : ",\"finetuned\":false";
+}
+
+void AppendStageNsJson(const std::array<std::uint64_t, kNumStages>& stage_ns,
+                       std::string* line) {
+  *line += ",\"stage_ns\":{";
+  bool first = true;
+  for (std::size_t s = 0; s < kNumStages; ++s) {
+    if (stage_ns[s] == 0) continue;
+    if (!first) *line += ',';
+    first = false;
+    AppendF(line, "\"%s\":%" PRIu64, StageName(static_cast<Stage>(s)),
+            stage_ns[s]);
+  }
+  *line += '}';
+}
+
+namespace {
 
 /// Process-global list of flight recorders that want a crash dump. Guarded
 /// by a mutex for registration; the crash path iterates without taking it
@@ -128,35 +163,17 @@ void FlightRecorder::Dump(std::ostream* out, std::string_view reason) const {
 
   for (std::size_t i = 0; i < size(); ++i) {
     const FlightRecord& record = At(i);
+    const StepObservation& step = record.step;
     line.clear();
-    line += "{\"flight\":\"step\"";
-    if (!label_.empty()) {
-      line += ",\"run\":\"";
-      line += label_;
-      line += '"';
-    }
-    AppendF(&line, ",\"t\":%" PRId64, record.t);
-    line += record.scored ? ",\"scored\":true" : ",\"scored\":false";
-    if (record.scored) {
-      AppendF(&line, ",\"a\":%.17g,\"f\":%.17g", record.nonconformity,
-              record.anomaly_score);
-    }
-    line += record.finetuned ? ",\"finetuned\":true" : ",\"finetuned\":false";
+    line += "{\"flight\":\"step\",";
+    AppendStepJson(label_, step, &line);
     AppendF(&line,
             ",\"x_min\":%.17g,\"x_max\":%.17g,\"x_mean\":%.17g"
             ",\"drift_stat\":%.17g,\"train_size\":%" PRIu64,
-            record.input_min, record.input_max, record.input_mean,
-            record.drift_statistic, record.train_size);
-    line += ",\"stage_ns\":{";
-    bool first = true;
-    for (std::size_t s = 0; s < kNumStages; ++s) {
-      if (record.stage_ns[s] == 0) continue;
-      if (!first) line += ',';
-      first = false;
-      AppendF(&line, "\"%s\":%" PRIu64, StageName(static_cast<Stage>(s)),
-              record.stage_ns[s]);
-    }
-    line += "}}";
+            step.input_min, step.input_max, step.input_mean,
+            step.drift_statistic, step.train_size);
+    AppendStageNsJson(record.stage_ns, &line);
+    line += '}';
     *out << line << '\n';
   }
   out->flush();

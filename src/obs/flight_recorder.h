@@ -9,24 +9,15 @@
 #include <vector>
 
 #include "src/obs/stage.h"
+#include "src/obs/step_observation.h"
 
 namespace streamad::obs {
 
-/// One retained pipeline step: everything the paper's drift analyses want
-/// to see around an incident — the raw-input digest, the nonconformity and
-/// anomaly score, the drift-detector statistic, the training-set size, and
-/// where the step's wall-clock went.
+/// One retained pipeline step: the detector's `StepObservation` (input
+/// digest, `a_t`, `f_t`, drift statistic, training-set size) plus where
+/// the step's wall-clock went.
 struct FlightRecord {
-  std::int64_t t = 0;
-  bool scored = false;
-  bool finetuned = false;
-  double nonconformity = 0.0;
-  double anomaly_score = 0.0;
-  double input_min = 0.0;
-  double input_max = 0.0;
-  double input_mean = 0.0;
-  double drift_statistic = 0.0;
-  std::uint64_t train_size = 0;
+  StepObservation step;
   std::array<std::uint64_t, kNumStages> stage_ns{};
 };
 

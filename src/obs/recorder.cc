@@ -1,10 +1,7 @@
 #include "src/obs/recorder.h"
 
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-
 #include "src/common/check.h"
+#include "src/obs/step_json.h"
 
 namespace streamad::obs {
 namespace {
@@ -20,15 +17,6 @@ std::string StageHistogramName(Stage stage) {
 
 std::string StageSketchName(Stage stage) {
   return StageHistogramName(stage) + "_summary";
-}
-
-void AppendF(std::string* out, const char* format, ...) {
-  char buffer[128];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  out->append(buffer);
 }
 
 }  // namespace
@@ -66,7 +54,7 @@ const std::vector<double>& Recorder::LatencyBucketsNs() {
 }
 
 Recorder::Recorder(MetricsRegistry* registry, RecorderOptions options)
-    : registry_(registry), options_(std::move(options)) {
+    : options_(std::move(options)) {
   STREAMAD_CHECK(registry != nullptr);
   STREAMAD_CHECK_MSG(options_.trace_sample_every > 0,
                      "trace_sample_every must be >= 1");
@@ -100,7 +88,7 @@ Recorder::Recorder(MetricsRegistry* registry, RecorderOptions options)
       registry->GetCounter("streamad_drift_op_comparisons_total");
 }
 
-void Recorder::BeginStep(std::int64_t /*t*/) {
+void Recorder::BeginStep() {
   step_ns_.fill(0);
   // Queue wait recorded since the last step belongs to THIS step: the
   // fleet stamps it right before calling `Step` on the dequeued event.
@@ -134,14 +122,12 @@ void Recorder::OnFit() {
   ++totals_.fits;
 }
 
-void Recorder::EndStep(std::int64_t t, bool scored, double nonconformity,
-                       double anomaly_score, bool finetuned,
-                       const StepContext& context) {
-  if (scored) {
+void Recorder::EndStep(const StepObservation& step) {
+  if (step.scored) {
     scored_steps_total_->Increment();
     ++totals_.scored_steps;
   }
-  if (finetuned) {
+  if (step.finetuned) {
     finetunes_total_->Increment();
     ++totals_.finetunes;
   }
@@ -155,41 +141,20 @@ void Recorder::EndStep(std::int64_t t, bool scored, double nonconformity,
                              mirrored_ops_.comparisons);
   mirrored_ops_ = op_counters_;
 
-  if (analytics_ != nullptr) {
-    ScoreStep sample;
-    sample.t = t;
-    sample.scored = scored;
-    sample.finetuned = finetuned;
-    sample.anomaly_score = scored ? anomaly_score : 0.0;
-    sample.drift_statistic = context.drift_statistic;
-    sample.input_min = context.input_min;
-    sample.input_max = context.input_max;
-    sample.input_mean = context.input_mean;
-    sample.train_size = context.train_size;
-    if (analytics_->OnStep(sample)) anomalies_total_->Increment();
+  if (analytics_ != nullptr && analytics_->OnStep(step)) {
+    anomalies_total_->Increment();
   }
 
   if (flight_ != nullptr) {
-    flight_scratch_.t = t;
-    flight_scratch_.scored = scored;
-    flight_scratch_.finetuned = finetuned;
-    flight_scratch_.nonconformity = scored ? nonconformity : 0.0;
-    flight_scratch_.anomaly_score = scored ? anomaly_score : 0.0;
-    flight_scratch_.input_min = context.input_min;
-    flight_scratch_.input_max = context.input_max;
-    flight_scratch_.input_mean = context.input_mean;
-    flight_scratch_.drift_statistic = context.drift_statistic;
-    flight_scratch_.train_size = context.train_size;
-    flight_scratch_.stage_ns = step_ns_;
-    flight_->Record(flight_scratch_);
-    if (finetuned && options_.flight_dump_on_finetune) {
+    flight_->Record(FlightRecord{step, step_ns_});
+    if (step.finetuned && options_.flight_dump_on_finetune) {
       flight_->DumpToPath("finetune");
     }
   }
 
   if (options_.trace == nullptr) return;
-  bool emit = finetuned;
-  if (scored) {
+  bool emit = step.finetuned;
+  if (step.scored) {
     emit = emit || (sample_cursor_ % options_.trace_sample_every) == 0;
     ++sample_cursor_;
   }
@@ -198,26 +163,9 @@ void Recorder::EndStep(std::int64_t t, bool scored, double nonconformity,
   std::string line;
   line.reserve(256);
   line += '{';
-  if (!options_.label.empty()) {
-    line += "\"run\":\"";
-    line += options_.label;  // labels are identifiers; no escaping needed
-    line += "\",";
-  }
-  AppendF(&line, "\"t\":%" PRId64, t);
-  line += scored ? ",\"scored\":true" : ",\"scored\":false";
-  if (scored) {
-    AppendF(&line, ",\"a\":%.17g,\"f\":%.17g", nonconformity, anomaly_score);
-  }
-  line += finetuned ? ",\"finetuned\":true" : ",\"finetuned\":false";
-  line += ",\"stage_ns\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    if (step_ns_[i] == 0) continue;
-    if (!first) line += ',';
-    first = false;
-    AppendF(&line, "\"%s\":%" PRIu64, kStageNames[i], step_ns_[i]);
-  }
-  line += "}}";
+  AppendStepJson(options_.label, step, &line);
+  AppendStageNsJson(step_ns_, &line);
+  line += '}';
   options_.trace->Write(line);
 }
 

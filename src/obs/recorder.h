@@ -13,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/score_analytics.h"
 #include "src/obs/stage.h"
+#include "src/obs/step_observation.h"
 #include "src/obs/timer.h"
 
 namespace streamad::obs {
@@ -82,20 +83,6 @@ struct RecorderOptions {
   ScoreAnalyticsOptions analytics;
 };
 
-/// Extra per-step pipeline state for the flight recorder, passed to
-/// `Recorder::EndStep`. The detector only computes these when a flight
-/// recorder is attached (`Recorder::flight_enabled()`); the defaults keep
-/// plain telemetry callers unchanged.
-struct StepContext {
-  double input_min = 0.0;
-  double input_max = 0.0;
-  double input_mean = 0.0;
-  /// Task-2 drift-detector statistic (`DriftDetector::DriftStatistic()`).
-  double drift_statistic = 0.0;
-  /// |R_train| after the step's Offer.
-  std::uint64_t train_size = 0;
-};
-
 /// Per-detector telemetry front-end. A recorder belongs to exactly one
 /// `core::StreamingDetector` and is driven from that detector's thread;
 /// the registry and trace sink behind it are shared and thread-safe, so
@@ -114,7 +101,7 @@ class Recorder {
   Recorder& operator=(const Recorder&) = delete;
 
   /// --- called by the detector pipeline -------------------------------
-  void BeginStep(std::int64_t t);
+  void BeginStep();
   void RecordStage(Stage stage, std::uint64_t elapsed_ns);
   /// Called by the serving layer (fleet shard worker) just before the
   /// `Step` that consumes a queued event: feeds the `queue_wait` stage
@@ -123,9 +110,7 @@ class Recorder {
   /// compute stages then decompose one event end to end.
   void RecordQueueWait(std::uint64_t elapsed_ns);
   void OnFit();
-  void EndStep(std::int64_t t, bool scored, double nonconformity,
-               double anomaly_score, bool finetuned,
-               const StepContext& context = {});
+  void EndStep(const StepObservation& step);
 
   /// Table II op tallies; the detector attaches this to its drift
   /// detector so per-step deltas are mirrored into the registry counters.
@@ -133,22 +118,17 @@ class Recorder {
 
   /// --- read side ------------------------------------------------------
   const StageTotals& totals() const { return totals_; }
-  MetricsRegistry* registry() const { return registry_; }
 
-  /// True when a flight recorder ring is attached.
-  bool flight_enabled() const { return flight_ != nullptr; }
+  /// Null when no flight recorder ring / score analytics are attached.
   FlightRecorder* flight_recorder() { return flight_.get(); }
   const FlightRecorder* flight_recorder() const { return flight_.get(); }
-
-  /// True when score analytics are attached.
-  bool analytics_enabled() const { return analytics_ != nullptr; }
   ScoreAnalytics* score_analytics() { return analytics_.get(); }
   const ScoreAnalytics* score_analytics() const { return analytics_.get(); }
 
   /// True when some consumer (flight ring or score analytics) retains the
-  /// per-step `StepContext`; the detector uses this to skip computing the
-  /// input digest and drift statistic when nobody keeps them.
-  bool wants_step_context() const {
+  /// digest part of each `StepObservation`; the detector uses this to skip
+  /// computing the input digest and drift statistic when nobody keeps them.
+  bool wants_step_digest() const {
     return flight_ != nullptr || analytics_ != nullptr;
   }
 
@@ -157,7 +137,6 @@ class Recorder {
   static const std::vector<double>& LatencyBucketsNs();
 
  private:
-  MetricsRegistry* registry_;
   RecorderOptions options_;
 
   std::array<Histogram*, kNumStages> stage_ns_;
@@ -180,7 +159,6 @@ class Recorder {
   std::uint64_t sample_cursor_ = 0;
 
   std::unique_ptr<FlightRecorder> flight_;
-  FlightRecord flight_scratch_;  // reused per step, no allocation
   std::unique_ptr<ScoreAnalytics> analytics_;
 };
 

@@ -17,7 +17,7 @@ ScoreAnalytics::ScoreAnalytics(ScoreAnalyticsOptions options)
 // serving hot path for every event of every instrumented session. All
 // rings are preallocated in the constructor; this block must not
 // allocate.
-bool ScoreAnalytics::OnStep(const ScoreStep& step) {
+bool ScoreAnalytics::OnStep(const StepObservation& step) {
   bool flagged = false;
   bool feed_sketch = false;
   {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/obs/quantile_sketch.h"
+#include "src/obs/step_observation.h"
 
 namespace streamad::obs {
 
@@ -56,23 +57,6 @@ struct AnomalyLogEntry {
   double input_mean = 0.0;
 };
 
-/// Everything the detector pipeline knows about one step, flattened for
-/// the analytics update. Producers fill only what they have; `scored`
-/// gates all score-derived state.
-struct ScoreStep {
-  std::int64_t t = 0;
-  bool scored = false;
-  bool finetuned = false;
-  double anomaly_score = 0.0;
-  /// Cached Task-2 statistic (`DriftDetector::DriftStatistic()`).
-  double drift_statistic = 0.0;
-  double input_min = 0.0;
-  double input_max = 0.0;
-  double input_mean = 0.0;
-  /// |R_train| after the step's Offer.
-  std::uint64_t train_size = 0;
-};
-
 /// Point-in-time copy of one session's quality state, safe to serialise
 /// after the lock is dropped.
 struct ScoreAnalyticsSnapshot {
@@ -106,9 +90,10 @@ struct ScoreAnalyticsSnapshot {
 /// The write side (`OnStep`) is allocation-free after construction and
 /// belongs to exactly one thread at a time — the detector's (library
 /// path, fed by `Recorder::EndStep`) or the owning shard worker's (serve
-/// path, fed by the fleet). The read side (`Snap`) may run concurrently
-/// from the HTTP plane; a mutex covers the handoff. Analytics never feed
-/// back into detector arithmetic: scores in == bits unchanged out.
+/// path, fed the `StepObservation` that `StreamingDetector::Step` wrote
+/// out). The read side (`Snap`) may run concurrently from the HTTP plane;
+/// a mutex covers the handoff. Analytics never feed back into detector
+/// arithmetic: scores in == bits unchanged out.
 ///
 /// Lifecycle matches the fleet's Session: the instance survives session
 /// eviction (only the detector is torn down) so totals and the anomaly
@@ -124,7 +109,7 @@ class ScoreAnalytics {
   /// Folds one step in. Returns true when the step was scored and its
   /// score crossed the threshold in force *before* this step's score was
   /// folded into the EWMA baseline (so one outlier cannot mask itself).
-  bool OnStep(const ScoreStep& step);
+  bool OnStep(const StepObservation& step);
 
   /// Drops all state back to as-constructed, keeping every allocation
   /// (rings, sketch markers) for reuse.

@@ -136,7 +136,6 @@ core::Status DetectorFleet::CreateSession(const std::string& stream_id,
     session->analytics_storage =
         std::make_unique<obs::ScoreAnalytics>(options_.analytics);
     session->analytics = session->analytics_storage.get();
-    session->analytics_fleet_fed = true;
   }
   session->wants_timing =
       config.run.recorder != nullptr || config.run.metrics != nullptr;
@@ -369,8 +368,12 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
   // (ns-scale) and, on the cold path, a rehydration — an honest "time to
   // serve this event once dequeued".
   const bool timed = shard->step_ns != nullptr && timed_wait;
-  const core::StreamingDetector::StepResult step =
-      session->detector->Step(values);
+  // Fleet-fed quality analytics read the step's observation straight from
+  // the detector; other sessions skip building it.
+  const bool fleet_fed = session->analytics_storage != nullptr;
+  obs::StepObservation observation;
+  const core::StreamingDetector::StepResult step = session->detector->Step(
+      values, fleet_fed ? &observation : nullptr);
   if (timed) {
     const double elapsed = static_cast<double>(obs::NowNs() - dequeue_ns);
     shard->step_ns->Observe(elapsed);
@@ -384,35 +387,9 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
   session->processed.fetch_add(1, std::memory_order_relaxed);
   session->last_step_t.store(session->detector->t(),
                              std::memory_order_relaxed);
-  if (session->analytics_fleet_fed) {
-    // Fleet-fed quality analytics: the recorder path feeds its own
-    // instance from EndStep; here the worker flattens the step itself.
-    // OnStep is allocation-free, so this stays on the hot path's budget.
-    obs::ScoreStep sample;
-    sample.t = session->detector->t();
-    sample.scored = step.scored;
-    sample.finetuned = step.finetuned;
-    sample.anomaly_score = step.scored ? step.anomaly_score : 0.0;
-    sample.drift_statistic =
-        session->detector->drift_detector().DriftStatistic();
-    sample.train_size = session->detector->strategy().set().size();
-    if (step.scored && !values.empty()) {
-      double lo = values[0];
-      double hi = values[0];
-      double sum = 0.0;
-      for (const double v : values) {
-        if (v < lo) lo = v;
-        if (v > hi) hi = v;
-        sum += v;
-      }
-      sample.input_min = lo;
-      sample.input_max = hi;
-      sample.input_mean = sum / static_cast<double>(values.size());
-    }
-    if (session->analytics->OnStep(sample)) {
-      anomalies_.fetch_add(1, std::memory_order_relaxed);
-      if (anomalies_counter_ != nullptr) anomalies_counter_->Increment();
-    }
+  if (fleet_fed && session->analytics->OnStep(observation)) {
+    anomalies_.fetch_add(1, std::memory_order_relaxed);
+    if (anomalies_counter_ != nullptr) anomalies_counter_->Increment();
   }
   if (step.scored) {
     SessionStepResult result;

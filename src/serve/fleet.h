@@ -355,15 +355,13 @@ class DetectorFleet {
     std::unique_ptr<obs::Recorder> recorder;
     /// Quality analytics, fleet-owned when `FleetOptions::
     /// session_analytics` asked for them and the session's recorder does
-    /// not already carry its own. Like the recorder, this outlives the
-    /// detector across eviction cycles.
+    /// not already carry its own; non-null means the shard worker feeds
+    /// them (a recorder feeds its own instance from `EndStep`). Like the
+    /// recorder, this outlives the detector across eviction cycles.
     std::unique_ptr<obs::ScoreAnalytics> analytics_storage;
     /// The analytics instance to read (owned above, or the recorder's);
     /// null when the session has none.
     obs::ScoreAnalytics* analytics = nullptr;
-    /// True when the shard worker must feed `analytics` itself (the
-    /// recorder path feeds its own instance from `EndStep`).
-    bool analytics_fleet_fed = false;
     /// Sticky failure (rehydration / eviction error); poisons the session.
     core::Status health;
     /// Start of the worker-written per-event fields (see `shard` above).

@@ -63,12 +63,6 @@ std::vector<double> VectorRunningStats::Mean() const {
   return out;
 }
 
-std::vector<double> VectorRunningStats::Stddev() const {
-  std::vector<double> out(dims_.size());
-  for (std::size_t i = 0; i < dims_.size(); ++i) out[i] = dims_[i].stddev();
-  return out;
-}
-
 double VectorRunningStats::StddevNorm() const {
   double s = 0.0;
   for (const auto& d : dims_) s += d.variance();

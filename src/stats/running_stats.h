@@ -2,6 +2,7 @@
 #define STREAMAD_STATS_RUNNING_STATS_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace streamad::stats {
@@ -65,6 +66,9 @@ class VectorRunningStats {
 
   /// Creates statistics over `dim`-dimensional vectors.
   explicit VectorRunningStats(std::size_t dim) : dims_(dim) {}
+  /// Adopts per-dimension statistics (checkpoint restore).
+  explicit VectorRunningStats(std::vector<RunningStats> dims)
+      : dims_(std::move(dims)) {}
 
   std::size_t dim() const { return dims_.size(); }
   std::size_t count() const { return dims_.empty() ? 0 : dims_[0].count(); }
@@ -78,9 +82,6 @@ class VectorRunningStats {
   /// Per-dimension mean.
   std::vector<double> Mean() const;
 
-  /// Per-dimension population standard deviation.
-  std::vector<double> Stddev() const;
-
   /// L2 norm of the per-dimension standard deviation vector — the scalar σ
   /// the μ/σ-Change trigger compares distances against.
   double StddevNorm() const;
@@ -90,7 +91,6 @@ class VectorRunningStats {
 
   /// Per-dimension access for checkpointing.
   const RunningStats& dim_stats(std::size_t i) const { return dims_[i]; }
-  RunningStats* mutable_dim_stats(std::size_t i) { return &dims_[i]; }
 
  private:
   std::vector<RunningStats> dims_;

@@ -69,9 +69,11 @@ bool Kswin::LoadState(io::BinaryReader* reader) {
   if (!reader->ExpectString("kswin.v1") || !reader->ReadU64(&channels)) {
     return false;
   }
-  std::vector<std::vector<double>> reference(channels);
-  for (std::vector<double>& channel : reference) {
-    if (!reader->ReadDoubleVec(&channel)) return false;
+  // Grown per entry read, so a corrupt count fails at the first missing
+  // read instead of sizing an allocation.
+  std::vector<std::vector<double>> reference;
+  for (std::uint64_t j = 0; j < channels; ++j) {
+    if (!reader->ReadDoubleVec(&reference.emplace_back())) return false;
   }
   std::uint64_t has_reference = 0;
   std::int64_t since_check = 0;

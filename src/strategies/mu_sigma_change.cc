@@ -110,7 +110,9 @@ bool MuSigmaChange::LoadState(io::BinaryReader* reader) {
   if (!reader->ExpectString("musigma.v1") || !reader->ReadU64(&dim)) {
     return false;
   }
-  stats::VectorRunningStats running(dim);
+  // Grown per entry read, so a corrupt count fails at the first missing
+  // read instead of sizing an allocation.
+  std::vector<stats::RunningStats> dims;
   for (std::uint64_t i = 0; i < dim; ++i) {
     std::uint64_t count = 0;
     double mean = 0.0;
@@ -119,7 +121,7 @@ bool MuSigmaChange::LoadState(io::BinaryReader* reader) {
         !reader->ReadDouble(&m2)) {
       return false;
     }
-    running.mutable_dim_stats(i)->Restore(count, mean, m2);
+    dims.emplace_back().Restore(count, mean, m2);
   }
   std::vector<double> reference_mean;
   double reference_sigma = 0.0;
@@ -129,7 +131,7 @@ bool MuSigmaChange::LoadState(io::BinaryReader* reader) {
       !reader->ReadU64(&has_reference)) {
     return false;
   }
-  running_ = std::move(running);
+  running_ = stats::VectorRunningStats(std::move(dims));
   reference_mean_ = std::move(reference_mean);
   reference_sigma_ = reference_sigma;
   has_reference_ = has_reference != 0;

@@ -38,8 +38,6 @@ class MuSigmaChange : public core::DriftDetector {
 
   /// Current running mean (exposed for tests).
   std::vector<double> CurrentMean() const { return running_.Mean(); }
-  /// Current σ (L2 norm of per-dimension standard deviations).
-  double CurrentSigma() const { return running_.StddevNorm(); }
 
  private:
   void EnsureDim(std::size_t dim);

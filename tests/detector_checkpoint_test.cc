@@ -1,5 +1,7 @@
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -219,6 +221,33 @@ TEST(DetectorCheckpointTest, RejectsTruncation) {
   const Status status = restored->LoadState(&cut);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message(), "");
+}
+
+TEST(DetectorCheckpointTest, CorruptDriftCountIsDataLossNotAThrow) {
+  // A checkpoint whose drift-detector element count is patched to 2^40 and
+  // cut right after it: the load fails with kDataLoss instead of sizing
+  // an allocation from the count.
+  const DetectorConfig params = FastParams();
+  for (const auto& [task2, tag] :
+       {std::pair{Task2::kKswin, std::string("kswin.v1")},
+        std::pair{Task2::kMuSigma, std::string("musigma.v1")}}) {
+    const AlgorithmSpec spec{ModelType::kOnlineArima, Task1::kSlidingWindow,
+                             task2};
+    auto original = BuildDetector(spec, ScoreType::kAverage, params, 10);
+    for (std::int64_t t = 0; t < 100; ++t) original->Step(Signal(t));
+    std::stringstream checkpoint;
+    ASSERT_TRUE(original->SaveState(&checkpoint).ok());
+    std::string bytes = checkpoint.str();
+    const std::size_t count_at = bytes.find(tag);
+    ASSERT_NE(count_at, std::string::npos) << tag;
+    bytes.resize(count_at + tag.size());
+    std::stringstream patched;
+    patched << bytes;
+    io::BinaryWriter(&patched).WriteU64(1ull << 40);
+    auto restored = BuildDetector(spec, ScoreType::kAverage, params, 11);
+    EXPECT_EQ(restored->LoadState(&patched).code(), StatusCode::kDataLoss)
+        << tag;
+  }
 }
 
 }  // namespace

@@ -128,16 +128,16 @@ TEST(QuantileSketchTest, RegistrySketchesEmitSummaryExposition) {
 
 obs::FlightRecord MakeRecord(std::int64_t t) {
   obs::FlightRecord record;
-  record.t = t;
-  record.scored = true;
-  record.finetuned = (t % 10) == 9;
-  record.nonconformity = 0.25 + 0.001 * static_cast<double>(t);
-  record.anomaly_score = 0.5 + 0.002 * static_cast<double>(t);
-  record.input_min = -1.0;
-  record.input_max = 2.0;
-  record.input_mean = 0.125;
-  record.drift_statistic = 1.75;
-  record.train_size = 30 + static_cast<std::uint64_t>(t % 7);
+  record.step = {.t = t,
+                 .scored = true,
+                 .finetuned = (t % 10) == 9,
+                 .nonconformity = 0.25 + 0.001 * static_cast<double>(t),
+                 .anomaly_score = 0.5 + 0.002 * static_cast<double>(t),
+                 .input_min = -1.0,
+                 .input_max = 2.0,
+                 .input_mean = 0.125,
+                 .drift_statistic = 1.75,
+                 .train_size = 30 + static_cast<std::uint64_t>(t % 7)};
   record.stage_ns[0] = 100 + static_cast<std::uint64_t>(t);
   record.stage_ns[1] = 250;
   return record;
@@ -154,7 +154,7 @@ TEST(FlightRecorderTest, RetainsExactlyLastNSteps) {
   EXPECT_EQ(flight.total_recorded(), static_cast<std::uint64_t>(kSteps));
   // Oldest-first iteration over exactly the last `kCapacity` steps.
   for (std::size_t i = 0; i < kCapacity; ++i) {
-    EXPECT_EQ(flight.At(i).t,
+    EXPECT_EQ(flight.At(i).step.t,
               kSteps - static_cast<std::int64_t>(kCapacity) +
                   static_cast<std::int64_t>(i));
   }
@@ -165,7 +165,7 @@ TEST(FlightRecorderTest, PartialFillKeepsInsertionOrder) {
   for (std::int64_t t = 0; t < 3; ++t) flight.Record(MakeRecord(t));
   ASSERT_EQ(flight.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(flight.At(i).t, static_cast<std::int64_t>(i));
+    EXPECT_EQ(flight.At(i).step.t, static_cast<std::int64_t>(i));
   }
 }
 
@@ -195,7 +195,7 @@ TEST(FlightRecorderTest, DumpRoundTripsThroughInspectParser) {
   EXPECT_EQ(parsed[0].total, 12u);
   for (std::size_t i = 1; i < parsed.size(); ++i) {
     const inspect::TraceRecord& step = parsed[i];
-    const obs::FlightRecord& expected = flight.At(i - 1);
+    const obs::StepObservation& expected = flight.At(i - 1).step;
     EXPECT_EQ(step.kind, inspect::TraceRecord::Kind::kFlightStep);
     EXPECT_EQ(step.t, expected.t);
     EXPECT_EQ(step.scored, expected.scored);
@@ -211,8 +211,8 @@ TEST(FlightRecorderTest, DumpRoundTripsThroughInspectParser) {
     // Zero-ns stages are omitted from the dump; the two non-zero ones
     // survive with their values.
     ASSERT_EQ(step.stage_ns.size(), 2u);
-    EXPECT_EQ(step.stage_ns[0].second, expected.stage_ns[0]);
-    EXPECT_EQ(step.stage_ns[1].second, expected.stage_ns[1]);
+    EXPECT_EQ(step.stage_ns[0].second, flight.At(i - 1).stage_ns[0]);
+    EXPECT_EQ(step.stage_ns[1].second, flight.At(i - 1).stage_ns[1]);
   }
 }
 
@@ -365,7 +365,7 @@ TEST(FlightRecorderTest, DriftStatisticMatchesDetectorForAllTask2) {
     ASSERT_NE(flight, nullptr);
     ASSERT_EQ(flight->size(), 32u);
     for (std::size_t i = 0; i < flight->size(); ++i) {
-      const obs::FlightRecord& record = flight->At(i);
+      const obs::StepObservation& record = flight->At(i).step;
       // Exact comparison on purpose: the ring is a replica, not an estimate.
       EXPECT_EQ(record.drift_statistic,
                 live_by_t[static_cast<std::size_t>(record.t)])

@@ -241,11 +241,11 @@ TEST(RecorderTest, JsonlTraceGolden) {
   options.label = "golden";
   obs::Recorder recorder(&registry, std::move(options));
 
-  recorder.BeginStep(0);
+  recorder.BeginStep();
   recorder.RecordStage(obs::Stage::kRepresentation, 100);
   recorder.RecordStage(obs::Stage::kNonconformity, 250);
-  recorder.EndStep(0, /*scored=*/true, /*nonconformity=*/0.25,
-                   /*anomaly_score=*/0.5, /*finetuned=*/false);
+  recorder.EndStep(
+      {.t = 0, .scored = true, .nonconformity = 0.25, .anomaly_score = 0.5});
 
   EXPECT_EQ(sink_stream.str(),
             "{\"run\":\"golden\",\"t\":0,\"scored\":true,"
@@ -264,13 +264,13 @@ TEST(RecorderTest, TraceSamplingKeepsEveryNthStepAndAllFinetunes) {
   obs::Recorder recorder(&registry, std::move(options));
 
   for (std::int64_t t = 0; t < 8; ++t) {
-    recorder.BeginStep(t);
-    recorder.EndStep(t, /*scored=*/true, 0.1, 0.2, /*finetuned=*/false);
+    recorder.BeginStep();
+    recorder.EndStep({.t = t, .scored = true});
   }
   EXPECT_EQ(sink.lines(), 2u);  // t = 0 and t = 4
 
-  recorder.BeginStep(8);
-  recorder.EndStep(8, /*scored=*/true, 0.1, 0.2, /*finetuned=*/true);
+  recorder.BeginStep();
+  recorder.EndStep({.t = 8, .scored = true, .finetuned = true});
   EXPECT_EQ(sink.lines(), 3u);  // fine-tunes bypass sampling
   EXPECT_NE(sink_stream.str().find("\"finetuned\":true"), std::string::npos);
 }
@@ -292,9 +292,8 @@ TEST(RecorderTest, ParallelSweepTraceLinesMatchEmittedRecords) {
     options.label = "run" + std::to_string(r);
     obs::Recorder recorder(&registry, std::move(options));
     for (std::int64_t t = 0; t < kSteps; ++t) {
-      recorder.BeginStep(t);
-      recorder.EndStep(t, /*scored=*/true, 0.1, 0.2,
-                       /*finetuned=*/(t % 25) == 24);
+      recorder.BeginStep();
+      recorder.EndStep({.t = t, .scored = true, .finetuned = (t % 25) == 24});
     }
   });
   // Per run: scored-step cursors 0,7,...,98 are sampled (15 records) and

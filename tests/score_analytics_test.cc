@@ -13,12 +13,8 @@
 namespace streamad {
 namespace {
 
-obs::ScoreStep ScoredStep(std::int64_t t, double score) {
-  obs::ScoreStep step;
-  step.t = t;
-  step.scored = true;
-  step.anomaly_score = score;
-  return step;
+obs::StepObservation ScoredStep(std::int64_t t, double score) {
+  return {.t = t, .scored = true, .anomaly_score = score};
 }
 
 TEST(ScoreAnalyticsTest, SigmaRuleStaysQuietDuringWarmup) {
@@ -108,7 +104,7 @@ TEST(ScoreAnalyticsTest, AnomalyLogKeepsTheNewestEntriesOldestFirst) {
   options.anomaly_log_capacity = 2;
   obs::ScoreAnalytics analytics(options);
   for (std::int64_t t = 0; t < 3; ++t) {
-    obs::ScoreStep step = ScoredStep(t, 10.0 + static_cast<double>(t));
+    obs::StepObservation step = ScoredStep(t, 10.0 + static_cast<double>(t));
     step.input_min = -1.0 * static_cast<double>(t);
     step.input_max = static_cast<double>(t);
     step.input_mean = 0.25;
@@ -127,13 +123,11 @@ TEST(ScoreAnalyticsTest, AnomalyLogKeepsTheNewestEntriesOldestFirst) {
 
 TEST(ScoreAnalyticsTest, UnscoredStepsOnlyTouchCountersAndGauges) {
   obs::ScoreAnalytics analytics;
-  obs::ScoreStep train;
-  train.t = 7;
-  train.scored = false;
-  train.finetuned = true;
-  train.drift_statistic = 0.875;
-  train.train_size = 120;
-  EXPECT_FALSE(analytics.OnStep(train));
+  EXPECT_FALSE(analytics.OnStep({.t = 7,
+                                  .scored = false,
+                                  .finetuned = true,
+                                  .drift_statistic = 0.875,
+                                  .train_size = 120}));
   const obs::ScoreAnalyticsSnapshot snap = analytics.Snap();
   EXPECT_EQ(snap.steps, 1u);
   EXPECT_EQ(snap.scored_steps, 0u);

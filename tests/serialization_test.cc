@@ -300,44 +300,5 @@ TEST(ModelSerializationTest, DefaultBaseReportsUnimplemented) {
             core::StatusCode::kUnimplemented);
 }
 
-TEST(ModelSerializationTest, StatusArchivesMatchOstreamShimByteForByte) {
-  // The migration from `SaveState(std::ostream*) -> bool` to
-  // `SaveState(io::BinaryWriter*) -> Status` must not change the archive
-  // format: the deprecated shim and the new entry point emit identical
-  // bytes, so pre-migration checkpoints restore unchanged.
-  const core::DetectorConfig params = SmallParams();
-  const core::TrainingSet train = MakeTrainingSet(40, 10, 3, 5);
-  for (const core::ModelType type :
-       {core::ModelType::kOnlineArima, core::ModelType::kTwoLayerAe,
-        core::ModelType::kUsad, core::ModelType::kNBeats,
-        core::ModelType::kPcbIForest, core::ModelType::kVar,
-        core::ModelType::kNearestNeighbor}) {
-    auto model = core::BuildModel(type, params, 77);
-    model->Fit(train);
-
-    std::stringstream via_writer;
-    io::BinaryWriter writer(&via_writer);
-    ASSERT_TRUE(model->SaveState(&writer).ok()) << core::ToString(type);
-
-    std::stringstream via_shim;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    // The pre-migration std::ostream entry point, kept for one PR.
-    ASSERT_TRUE(model->SaveState(static_cast<std::ostream*>(&via_shim)))
-        << core::ToString(type);
-#pragma GCC diagnostic pop
-
-    EXPECT_EQ(via_writer.str(), via_shim.str()) << core::ToString(type);
-
-    // And the shim's loader accepts what the new writer produced.
-    auto restored = core::BuildModel(type, params, 99);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_TRUE(restored->LoadState(static_cast<std::istream*>(&via_writer)))
-        << core::ToString(type);
-#pragma GCC diagnostic pop
-  }
-}
-
 }  // namespace
 }  // namespace streamad

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include "src/net/http_server.h"
 #include "src/obs/metrics.h"
 #include "src/obs/quantile_sketch.h"
+#include "src/obs/recorder.h"
 #include "src/serve/checkpoint_store.h"
 #include "src/serve/endpoints.h"
 #include "src/serve/fleet.h"
@@ -387,6 +389,78 @@ TEST(AnomalyTopKTest, RankingMatchesInjectedAnomalyDensityEndToEnd) {
 
   server.Stop();
   fleet.Stop();
+}
+
+/// Every field of a snapshot, in a fixed order, doubles as raw bits.
+std::vector<std::uint64_t> SnapshotBits(const obs::ScoreAnalyticsSnapshot& s) {
+  const obs::QuantileSketch::Snapshot& q = s.score_quantiles;
+  std::vector<double> doubles = {s.anomaly_rate,   s.ewma_mean,
+                                 s.ewma_std,       s.last_score,
+                                 s.last_threshold, s.drift_statistic,
+                                 q.sum,            q.min,
+                                 q.max};
+  doubles.insert(doubles.end(), q.values.begin(), q.values.end());
+  std::vector<std::uint64_t> bits = {
+      s.steps, s.scored_steps, s.finetunes, s.anomalies, s.train_size,
+      static_cast<std::uint64_t>(s.last_step_t), q.count};
+  for (const obs::AnomalyLogEntry& e : s.recent_anomalies) {
+    bits.push_back(static_cast<std::uint64_t>(e.t));
+    doubles.insert(doubles.end(), {e.score, e.threshold, e.input_min,
+                                   e.input_max, e.input_mean});
+  }
+  for (const double d : doubles) {
+    bits.push_back(std::bit_cast<std::uint64_t>(d));
+  }
+  return bits;
+}
+
+TEST(AnalyticsFeedTest, FleetFedAndRecorderOwnedAnalyticsAgreeBitForBit) {
+  // The fleet feeds its session analytics from the observation `Step`
+  // writes out; a recorder feeds its own from `EndStep`. One series run
+  // both ways must leave identical snapshots, anomaly-log digests included.
+  constexpr std::size_t kLength = 300;
+  obs::ScoreAnalyticsOptions analytics;
+  analytics.score_sample_every = 1;
+  const auto event = [](std::size_t t) {
+    core::StreamVector v = EventAt(t);
+    if (t >= 60 && t % 17 == 0) v[t % 3] += 6.0;
+    return v;
+  };
+  const SessionConfig config = TimedSession(0, nullptr);
+
+  FleetOptions options;
+  options.shards = 1;
+  options.session_analytics = true;
+  options.analytics = analytics;
+  DetectorFleet fleet(options);
+  ASSERT_TRUE(fleet.CreateSession("feed", config).ok());
+  for (std::size_t t = 0; t < kLength; ++t) {
+    while (fleet.Submit("feed", event(t)) == Admission::kDropped) {
+      std::this_thread::yield();
+    }
+  }
+  fleet.WaitIdle();
+  SessionDetail detail;
+  ASSERT_TRUE(fleet.SnapshotSession("feed", &detail));
+  ASSERT_TRUE(detail.has_analytics);
+  fleet.Stop();
+
+  obs::MetricsRegistry registry;
+  obs::RecorderOptions recorder_options;
+  recorder_options.score_analytics = true;
+  recorder_options.analytics = analytics;
+  obs::Recorder recorder(&registry, recorder_options);
+  auto detector = core::BuildDetector(config.spec, config.score,
+                                      config.detector, config.seed);
+  detector->set_recorder(&recorder);
+  for (std::size_t t = 0; t < kLength; ++t) detector->Step(event(t));
+  const obs::ScoreAnalyticsSnapshot owned = recorder.score_analytics()->Snap();
+
+  // The spikes must cross the threshold, or the log comparison is vacuous.
+  EXPECT_GT(owned.anomalies, 0u);
+  ASSERT_EQ(detail.analytics.recent_anomalies.size(),
+            owned.recent_anomalies.size());
+  EXPECT_EQ(SnapshotBits(detail.analytics), SnapshotBits(owned));
 }
 
 TEST(ObservedFleetGoldenTest, BitIdentityHoldsWithWatchdogAndAttributionOn) {

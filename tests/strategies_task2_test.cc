@@ -1,6 +1,9 @@
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/io/binary_io.h"
 #include "src/strategies/kswin.h"
 #include "src/strategies/mu_sigma_change.h"
 #include "src/strategies/regular_interval.h"
@@ -49,6 +52,20 @@ std::int64_t FirstDetection(core::DriftDetector* detector, double mean0,
   return -1;
 }
 
+/// Loads an archive holding `tag`, an element count of 2^40, then nothing.
+/// A loader that sized an allocation from the count would throw
+/// `std::bad_alloc`; a correct one fails at the first missing entry.
+template <typename Detector>
+bool LoadsHugeCountArchive(const std::string& tag) {
+  std::stringstream archive;
+  io::BinaryWriter writer(&archive);
+  writer.WriteString(tag);
+  writer.WriteU64(1ull << 40);
+  io::BinaryReader reader(&archive);
+  Detector detector;
+  return detector.LoadState(&reader);
+}
+
 // ----------------------------------------------------------- regular ----
 
 TEST(RegularIntervalTest, FiresFirstTimeImmediately) {
@@ -81,6 +98,10 @@ TEST(RegularIntervalDeathTest, NonPositiveIntervalAborts) {
 }
 
 // ---------------------------------------------------------- mu/sigma ----
+
+TEST(MuSigmaChangeTest, CorruptDimCountFailsLoad) {
+  EXPECT_FALSE(LoadsHugeCountArchive<MuSigmaChange>("musigma.v1"));
+}
 
 TEST(MuSigmaChangeTest, StableStreamDoesNotFire) {
   MuSigmaChange detector;
@@ -150,6 +171,10 @@ TEST(MuSigmaChangeTest, RunningStatsTrackSetAfterChurn) {
 }
 
 // ------------------------------------------------------------- KSWIN ----
+
+TEST(KswinTest, CorruptChannelCountFailsLoad) {
+  EXPECT_FALSE(LoadsHugeCountArchive<Kswin>("kswin.v1"));
+}
 
 TEST(KswinTest, StableStreamDoesNotFire) {
   Kswin detector;

@@ -69,8 +69,22 @@ int main(int argc, char** argv) {
   gen.num_anomalies = 3;
   const data::Corpus corpus = data::MakeDaphnetLike(gen);
 
-  const std::string dir = "/tmp/streamad_fleet_example";
-  std::filesystem::create_directories(dir);
+  // A directory of this process's own, so concurrent runs cannot clobber
+  // each other's files; removed on every return path.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "streamad_fleet_XXXXXX")
+          .string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } remove_dir{dir};
   std::vector<data::LabeledSeries> streams;
   std::vector<std::string> ids;
   for (std::size_t i = 0; i < corpus.series.size(); ++i) {

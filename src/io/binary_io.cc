@@ -1,5 +1,6 @@
 #include "src/io/binary_io.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -69,6 +70,26 @@ bool BinaryReader::ReadBytes(void* data, std::size_t size) {
   return ok_;
 }
 
+bool BinaryReader::ReadLength(std::uint64_t* count) {
+  if (ReadU64(count) && *count <= kMaxElements) return true;
+  ok_ = false;
+  return false;
+}
+
+template <typename Container>
+bool BinaryReader::AppendChunked(Container* value, std::uint64_t count) {
+  using Element = typename Container::value_type;
+  constexpr std::size_t kChunk = kReadChunkBytes / sizeof(Element);
+  const std::size_t end = value->size() + count;
+  while (value->size() < end) {
+    const std::size_t at = value->size();
+    const std::size_t n = std::min(end - at, kChunk);
+    value->resize(at + n);
+    if (!ReadBytes(value->data() + at, n * sizeof(Element))) return false;
+  }
+  return true;
+}
+
 bool BinaryReader::ReadU8(std::uint8_t* value) {
   STREAMAD_CHECK(value != nullptr);
   return ReadBytes(value, sizeof(*value));
@@ -94,15 +115,12 @@ bool BinaryReader::ReadDouble(double* value) {
   return ReadBytes(value, sizeof(*value));
 }
 
-bool BinaryReader::ReadString(std::string* value) {
-  STREAMAD_CHECK(value != nullptr);
+bool BinaryReader::ReadString(std::string* out) {
+  STREAMAD_CHECK(out != nullptr);
   std::uint64_t size = 0;
-  if (!ReadU64(&size) || size > kMaxElements) {
-    ok_ = false;
-    return false;
-  }
-  value->resize(size);
-  return size == 0 || ReadBytes(value->data(), size);
+  if (!ReadLength(&size)) return false;
+  out->clear();
+  return AppendChunked(out, size);
 }
 
 bool BinaryReader::ReadDoubleVec(std::vector<double>* out) {
@@ -115,29 +133,16 @@ bool BinaryReader::ReadDoubleVec(std::vector<double>* out) {
 bool BinaryReader::AppendDoubleVec(std::vector<double>* value,
                                    std::uint64_t* size) {
   STREAMAD_CHECK(value != nullptr && size != nullptr);
-  if (!ReadU64(size) || *size > kMaxElements) {
-    ok_ = false;
-    return false;
-  }
-  const std::size_t base = value->size();
-  value->resize(base + *size);
-  return *size == 0 ||
-         ReadBytes(value->data() + base, *size * sizeof(double));
+  return ReadLength(size) && AppendChunked(value, *size);
 }
 
-bool BinaryReader::ReadIntVec(std::vector<int>* value) {
-  STREAMAD_CHECK(value != nullptr);
+bool BinaryReader::ReadIntVec(std::vector<int>* out) {
+  STREAMAD_CHECK(out != nullptr);
   std::uint64_t size = 0;
-  if (!ReadU64(&size) || size > kMaxElements) {
-    ok_ = false;
-    return false;
-  }
-  value->resize(size);
-  for (std::uint64_t i = 0; i < size; ++i) {
-    std::int64_t v = 0;
-    if (!ReadI64(&v)) return false;
-    (*value)[i] = static_cast<int>(v);
-  }
+  if (!ReadLength(&size)) return false;
+  std::vector<std::int64_t> wide;
+  if (!AppendChunked(&wide, size)) return false;
+  out->assign(wide.begin(), wide.end());  // written as i64 from int
   return true;
 }
 
@@ -151,10 +156,8 @@ bool BinaryReader::ReadMatrix(linalg::Matrix* value) {
     ok_ = false;
     return false;
   }
-  std::vector<double> flat(rows * cols);
-  if (!flat.empty() && !ReadBytes(flat.data(), flat.size() * sizeof(double))) {
-    return false;
-  }
+  std::vector<double> flat;
+  if (!AppendChunked(&flat, rows * cols)) return false;
   *value = linalg::Matrix::FromFlat(rows, cols, std::move(flat));
   return true;
 }

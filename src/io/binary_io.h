@@ -46,7 +46,8 @@ class BinaryWriter {
 
 /// Counterpart reader. Every `Read*` returns false (and poisons the
 /// reader) on EOF, short reads or absurd sizes; callers bail out on the
-/// first failure.
+/// first failure. Containers grow as their bytes arrive, so a garbage
+/// length prefix costs at most one `kReadChunkBytes` beyond the input.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream* in);
@@ -70,12 +71,18 @@ class BinaryReader {
 
   bool ok() const { return ok_; }
 
-  /// Upper bound on any single container (guards against garbage length
-  /// prefixes allocating gigabytes).
+  /// Upper bound on any single container's length prefix.
   static constexpr std::uint64_t kMaxElements = 1ull << 28;
+  /// Most bytes a container grows by ahead of the data that fills them.
+  static constexpr std::size_t kReadChunkBytes = 256u << 10;
 
  private:
   bool ReadBytes(void* data, std::size_t size);
+  /// Reads a container length prefix; false above `kMaxElements`.
+  bool ReadLength(std::uint64_t* count);
+  /// Appends `count` raw elements to `*value`, one chunk per read.
+  template <typename Container>
+  bool AppendChunked(Container* value, std::uint64_t count);
 
   std::istream* in_;
   bool ok_ = true;

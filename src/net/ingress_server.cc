@@ -35,7 +35,30 @@ std::vector<double> FrameSizeBounds() {
 
 IngressServer::IngressServer() : IngressServer(Options()) {}
 
-IngressServer::IngressServer(Options options) : options_(std::move(options)) {}
+IngressServer::IngressServer(Options options)
+    : options_(std::move(options)), metrics_(options_.metrics) {
+  if (metrics_ == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = owned_metrics_.get();
+  }
+  connections_counter_ =
+      metrics_->GetCounter("streamad_ingress_connections_total");
+  active_gauge_ = metrics_->GetGauge("streamad_ingress_connections_active");
+  frames_in_counter_ = metrics_->GetCounter("streamad_ingress_frames_in_total");
+  frames_out_counter_ =
+      metrics_->GetCounter("streamad_ingress_frames_out_total");
+  bytes_in_counter_ = metrics_->GetCounter("streamad_ingress_bytes_in_total");
+  bytes_out_counter_ = metrics_->GetCounter("streamad_ingress_bytes_out_total");
+  decode_errors_counter_ =
+      metrics_->GetCounter("streamad_ingress_decode_errors_total");
+  nacks_counter_ = metrics_->GetCounter("streamad_ingress_protocol_nacks_total");
+  overflow_disconnects_counter_ =
+      metrics_->GetCounter("streamad_ingress_overflow_disconnects_total");
+  frame_in_bytes_ = metrics_->GetHistogram("streamad_ingress_frame_in_bytes",
+                                           FrameSizeBounds());
+  frame_out_bytes_ = metrics_->GetHistogram(
+      "streamad_ingress_frame_out_bytes", FrameSizeBounds());
+}
 
 IngressServer::~IngressServer() { Stop(); }
 
@@ -44,29 +67,12 @@ void IngressServer::set_hooks(Hooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-void IngressServer::AttachMetrics(obs::MetricsRegistry* registry) {
-  STREAMAD_CHECK_MSG(!started_, "AttachMetrics must precede Start");
-  if (registry == nullptr) return;
-  connections_counter_ =
-      registry->GetCounter("streamad_ingress_connections_total");
-  active_gauge_ = registry->GetGauge("streamad_ingress_connections_active");
-  frames_in_counter_ = registry->GetCounter("streamad_ingress_frames_in_total");
-  frames_out_counter_ =
-      registry->GetCounter("streamad_ingress_frames_out_total");
-  bytes_in_counter_ = registry->GetCounter("streamad_ingress_bytes_in_total");
-  bytes_out_counter_ = registry->GetCounter("streamad_ingress_bytes_out_total");
-  decode_errors_counter_ =
-      registry->GetCounter("streamad_ingress_decode_errors_total");
-  nacks_counter_ =
-      registry->GetCounter("streamad_ingress_protocol_nacks_total");
-  overflow_disconnects_counter_ =
-      registry->GetCounter("streamad_ingress_overflow_disconnects_total");
-  frame_in_bytes_ =
-      registry->GetHistogram("streamad_ingress_frame_in_bytes",
-                             FrameSizeBounds());
-  frame_out_bytes_ =
-      registry->GetHistogram("streamad_ingress_frame_out_bytes",
-                             FrameSizeBounds());
+std::size_t IngressServer::active_connections() const {
+  return static_cast<std::size_t>(active_gauge_->Value());
+}
+
+std::uint64_t IngressServer::connections_total() const {
+  return connections_counter_->Value();
 }
 
 core::Status IngressServer::Start(std::uint16_t port) {
@@ -208,13 +214,8 @@ void IngressServer::AcceptNew() {
     conn.fd = fd;
     id_to_fd_[conn.id] = fd;
     connections_.emplace(fd, std::move(conn));
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_total_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_counter_ != nullptr) connections_counter_->Increment();
-    if (active_gauge_ != nullptr) {
-      active_gauge_->Set(static_cast<double>(
-          active_connections_.load(std::memory_order_relaxed)));
-    }
+    connections_counter_->Increment();
+    active_gauge_->Set(static_cast<double>(connections_.size()));
   }
 }
 
@@ -223,9 +224,7 @@ void IngressServer::HandleReadable(Connection* conn) {
   while (true) {
     ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
-      if (bytes_in_counter_ != nullptr) {
-        bytes_in_counter_->Add(static_cast<std::uint64_t>(n));
-      }
+      bytes_in_counter_->Add(static_cast<std::uint64_t>(n));
       conn->assembler.Append(
           std::string_view(buffer, static_cast<std::size_t>(n)));
       if (static_cast<std::size_t>(n) < sizeof(buffer)) break;
@@ -244,9 +243,7 @@ void IngressServer::HandleReadable(Connection* conn) {
     wire::FrameAssembler::Result result = conn->assembler.Next(&frame);
     if (result == wire::FrameAssembler::Result::kNeedMore) break;
     if (result == wire::FrameAssembler::Result::kError) {
-      if (decode_errors_counter_ != nullptr) {
-        decode_errors_counter_->Increment();
-      }
+      decode_errors_counter_->Increment();
       wire::WireError error = conn->assembler.error();
       wire::NackCode code = error == wire::WireError::kBadVersion
                                 ? wire::NackCode::kUnsupportedVersion
@@ -254,11 +251,9 @@ void IngressServer::HandleReadable(Connection* conn) {
       FailConnection(conn, code, wire::ToString(error));
       break;
     }
-    if (frames_in_counter_ != nullptr) frames_in_counter_->Increment();
-    if (frame_in_bytes_ != nullptr) {
-      frame_in_bytes_->Observe(
-          static_cast<double>(before - conn->assembler.pending_bytes()));
-    }
+    frames_in_counter_->Increment();
+    frame_in_bytes_->Observe(
+        static_cast<double>(before - conn->assembler.pending_bytes()));
     HandleFrame(conn, frame);
   }
 
@@ -329,7 +324,7 @@ void IngressServer::HandleFrame(Connection* conn, const wire::Frame& frame) {
 
 void IngressServer::FailConnection(Connection* conn, wire::NackCode code,
                                    const std::string& detail) {
-  if (nacks_counter_ != nullptr) nacks_counter_->Increment();
+  nacks_counter_->Increment();
   wire::NackFrame nack;
   nack.entries.push_back(wire::NackEntry{0, code, detail});
   std::string bytes;
@@ -347,10 +342,8 @@ void IngressServer::QueueBytes(Connection* conn, const std::string& bytes) {
     std::uint32_t payload_len = 0;
     std::memcpy(&payload_len, bytes.data() + offset + 6, sizeof(payload_len));
     std::size_t frame_size = wire::kFrameHeaderBytes + payload_len;
-    if (frames_out_counter_ != nullptr) frames_out_counter_->Increment();
-    if (frame_out_bytes_ != nullptr) {
-      frame_out_bytes_->Observe(static_cast<double>(frame_size));
-    }
+    frames_out_counter_->Increment();
+    frame_out_bytes_->Observe(static_cast<double>(frame_size));
     offset += frame_size;
   }
   conn->outbuf.append(bytes);
@@ -361,9 +354,7 @@ void IngressServer::QueueBytes(Connection* conn, const std::string& bytes) {
 
 bool IngressServer::CloseIfOverflowed(Connection* conn) {
   if (!conn->overflowed) return false;
-  if (overflow_disconnects_counter_ != nullptr) {
-    overflow_disconnects_counter_->Increment();
-  }
+  overflow_disconnects_counter_->Increment();
   CloseConnection(conn);
   return true;
 }
@@ -374,9 +365,7 @@ void IngressServer::HandleWritable(Connection* conn) {
                        conn->outbuf.size() - conn->out_sent, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_sent += static_cast<std::size_t>(n);
-      if (bytes_out_counter_ != nullptr) {
-        bytes_out_counter_->Add(static_cast<std::uint64_t>(n));
-      }
+      bytes_out_counter_->Add(static_cast<std::uint64_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -396,11 +385,7 @@ void IngressServer::CloseConnection(Connection* conn) {
   ::close(fd);
   id_to_fd_.erase(id);
   connections_.erase(fd);  // invalidates conn
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
-  if (active_gauge_ != nullptr) {
-    active_gauge_->Set(static_cast<double>(
-        active_connections_.load(std::memory_order_relaxed)));
-  }
+  active_gauge_->Set(static_cast<double>(connections_.size()));
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     pending_.erase(id);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -75,6 +76,10 @@ class IngressServer {
     /// than letting its buffer grow without bound. Must comfortably
     /// exceed one maximum frame so any single legal reply fits.
     std::size_t max_outbuf_bytes = 64u << 20;
+    /// Registry for the ingress instrument family (counters for
+    /// connections/frames/bytes/NACKs/decode errors, frame-size
+    /// histograms). Not owned; when null the server owns one.
+    obs::MetricsRegistry* metrics = nullptr;
   };
 
   IngressServer();
@@ -86,12 +91,6 @@ class IngressServer {
 
   /// Must be called before `Start`.
   void set_hooks(Hooks hooks);
-
-  /// Registers the ingress instrument family on `registry` (counters for
-  /// connections/frames/bytes/NACKs/decode errors, frame-size
-  /// histograms). Call before `Start`; pass null for a metrics-free
-  /// server.
-  void AttachMetrics(obs::MetricsRegistry* registry);
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the event loop.
   core::Status Start(std::uint16_t port);
@@ -109,13 +108,12 @@ class IngressServer {
   /// are simply discarded.
   void FlagPending(ConnectionId id);
 
-  /// Live connection count / lifetime accept count (relaxed reads).
-  std::size_t active_connections() const {
-    return active_connections_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t connections_total() const {
-    return connections_total_.load(std::memory_order_relaxed);
-  }
+  /// Live connection count / lifetime accept count (registry reads).
+  std::size_t active_connections() const;
+  std::uint64_t connections_total() const;
+
+  /// The registry the server counts into (`Options::metrics` or its own).
+  obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
   struct Connection {
@@ -173,9 +171,8 @@ class IngressServer {
   std::mutex pending_mutex_;
   std::unordered_set<ConnectionId> pending_;  // guarded by pending_mutex_
 
-  std::atomic<std::size_t> active_connections_{0};
-  std::atomic<std::uint64_t> connections_total_{0};
-
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* connections_counter_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
   obs::Counter* frames_in_counter_ = nullptr;

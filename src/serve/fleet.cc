@@ -32,7 +32,8 @@ const char* ToString(Admission admission) {
   return "?";
 }
 
-DetectorFleet::DetectorFleet(const FleetOptions& options) : options_(options) {
+DetectorFleet::DetectorFleet(const FleetOptions& options)
+    : options_(options), metered_(options.metrics != nullptr) {
   STREAMAD_CHECK_MSG(options_.shards > 0, "fleet needs at least one shard");
   STREAMAD_CHECK_MSG(options_.queue_capacity > 0,
                      "shard queues need positive capacity");
@@ -44,47 +45,45 @@ DetectorFleet::DetectorFleet(const FleetOptions& options) : options_(options) {
                         options_.force_evict_every > 0;
   STREAMAD_CHECK_MSG(!evicting || options_.store != nullptr,
                      "session eviction requires a checkpoint store");
-  if (options_.metrics != nullptr) {
+  if (metered_) {
     // The first NowNs() of the process calibrates the TSC clock (a ~2 ms
     // spin, see obs::internal::TscClock); trigger it here so it can never
     // land inside a measured serving window.
     (void)obs::NowNs();
-    events_counter_ =
-        options_.metrics->GetCounter("streamad_serve_events_total");
-    anomalies_counter_ =
-        options_.metrics->GetCounter("streamad_serve_anomalies_total");
-    throttled_counter_ =
-        options_.metrics->GetCounter("streamad_serve_throttled_total");
-    dropped_counter_ =
-        options_.metrics->GetCounter("streamad_serve_dropped_total");
-    evictions_counter_ =
-        options_.metrics->GetCounter("streamad_serve_evictions_total");
-    rehydrations_counter_ =
-        options_.metrics->GetCounter("streamad_serve_rehydrations_total");
-    stalled_shards_gauge_ =
-        options_.metrics->GetGauge("streamad_serve_stalled_shards");
-    shard_stalls_counter_ =
-        options_.metrics->GetCounter("streamad_serve_shard_stalls_total");
+  } else {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
   }
+  obs::MetricsRegistry* metrics =
+      metered_ ? options_.metrics : owned_metrics_.get();
+  events_counter_ = metrics->GetCounter("streamad_serve_events_total");
+  anomalies_counter_ = metrics->GetCounter("streamad_serve_anomalies_total");
+  throttled_counter_ = metrics->GetCounter("streamad_serve_throttled_total");
+  dropped_counter_ = metrics->GetCounter("streamad_serve_dropped_total");
+  evictions_counter_ = metrics->GetCounter("streamad_serve_evictions_total");
+  rehydrations_counter_ =
+      metrics->GetCounter("streamad_serve_rehydrations_total");
+  rehydrate_failures_counter_ =
+      metrics->GetCounter("streamad_serve_rehydrate_failures_total");
+  result_overflow_counter_ =
+      metrics->GetCounter("streamad_serve_result_overflow_total");
+  stalled_shards_gauge_ = metrics->GetGauge("streamad_serve_stalled_shards");
+  shard_stalls_counter_ =
+      metrics->GetCounter("streamad_serve_shard_stalls_total");
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity,
                                          options_.throttle_watermark);
-    if (options_.metrics != nullptr) {
-      const std::string prefix =
-          "streamad_serve_shard" + std::to_string(i) + "_";
-      shard->queue_depth =
-          options_.metrics->GetGauge(prefix + "queue_depth");
-      shard->step_ns = options_.metrics->GetHistogram(
-          prefix + "step_ns", obs::Recorder::LatencyBucketsNs());
-      shard->step_sketch =
-          options_.metrics->GetSketch(prefix + "step_ns_summary");
-      shard->queue_wait_ns = options_.metrics->GetHistogram(
-          prefix + "queue_wait_ns", obs::Recorder::LatencyBucketsNs());
-      shard->queue_wait_sketch =
-          options_.metrics->GetSketch(prefix + "queue_wait_ns_summary");
-      shard->stalled_gauge = options_.metrics->GetGauge(prefix + "stalled");
-    }
+    const std::string prefix =
+        "streamad_serve_shard" + std::to_string(i) + "_";
+    shard->queue_depth = metrics->GetGauge(prefix + "queue_depth");
+    shard->step_ns = metrics->GetHistogram(prefix + "step_ns",
+                                           obs::Recorder::LatencyBucketsNs());
+    shard->step_sketch = metrics->GetSketch(prefix + "step_ns_summary");
+    shard->queue_wait_ns = metrics->GetHistogram(
+        prefix + "queue_wait_ns", obs::Recorder::LatencyBucketsNs());
+    shard->queue_wait_sketch =
+        metrics->GetSketch(prefix + "queue_wait_ns_summary");
+    shard->stalled_gauge = metrics->GetGauge(prefix + "stalled");
     shards_.push_back(std::move(shard));
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -185,7 +184,7 @@ void DetectorFleet::SubmitRun(Session* session, QueuedEvent* events,
   // worker, which skips the whole timing path for that event. The whole
   // run shares one clock read — its events enqueue at the same instant.
   std::uint64_t now = 0;
-  if (shard->queue_wait_ns != nullptr || session->wants_timing) {
+  if (metered_ || session->wants_timing) {
     const std::uint64_t base_seq =
         shard->submit_seq.fetch_add(count, std::memory_order_relaxed);
     for (std::size_t k = 0; k < count; ++k) {
@@ -209,7 +208,7 @@ void DetectorFleet::SubmitRun(Session* session, QueuedEvent* events,
   // sample too: refreshing it per event would put a submitter-and-worker
   // shared cache line on the full-rate path for a value scrapes only see
   // occasionally anyway.
-  if (now != 0 && shard->queue_depth != nullptr) {
+  if (now != 0) {
     shard->queue_depth->Set(static_cast<double>(shard->queue.size()));
   }
   const std::size_t watermark = shard->queue.watermark();
@@ -223,25 +222,16 @@ void DetectorFleet::SubmitRun(Session* session, QueuedEvent* events,
       admissions[k] = Admission::kQueued;
     }
   }
-  if (admitted > 0) {
-    submitted_.fetch_add(admitted, std::memory_order_relaxed);
-    if (events_counter_ != nullptr) {
-      events_counter_->Add(admitted);
-    }
-    if (throttled > 0) {
-      throttled_.fetch_add(throttled, std::memory_order_relaxed);
-      if (throttled_counter_ != nullptr) throttled_counter_->Add(throttled);
-    }
-  }
+  if (admitted > 0) events_counter_->Add(admitted);
+  if (throttled > 0) throttled_counter_->Add(throttled);
   if (admitted < count) {
     const std::size_t rejected = count - admitted;
     for (std::size_t k = admitted; k < count; ++k) {
       admissions[k] = Admission::kDropped;
       FinishEvent();
     }
-    dropped_.fetch_add(rejected, std::memory_order_relaxed);
     session->dropped.fetch_add(rejected, std::memory_order_relaxed);
-    if (dropped_counter_ != nullptr) dropped_counter_->Add(rejected);
+    dropped_counter_->Add(rejected);
   }
 }
 
@@ -306,16 +296,14 @@ void DetectorFleet::WorkerLoop(Shard* shard) {
     if (timed_wait) {
       dequeue_ns = obs::NowNs();
       wait_ns = dequeue_ns > stamp ? dequeue_ns - stamp : 0;
-      if (shard->queue_wait_ns != nullptr) {
+      if (metered_) {
         shard->queue_wait_ns->Observe(static_cast<double>(wait_ns));
         shard->queue_wait_sketch->Observe(static_cast<double>(wait_ns));
       }
       shard->last_progress_ns.store(dequeue_ns, std::memory_order_relaxed);
       event.session->last_event_ns.store(dequeue_ns,
                                          std::memory_order_relaxed);
-      if (shard->queue_depth != nullptr) {
-        shard->queue_depth->Set(static_cast<double>(shard->queue.size()));
-      }
+      shard->queue_depth->Set(static_cast<double>(shard->queue.size()));
     }
     ProcessEvent(shard, event.session, event.values, wait_ns, dequeue_ns);
     shard->processed.fetch_add(1, std::memory_order_relaxed);
@@ -332,17 +320,12 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
                                  std::uint64_t wait_ns,
                                  std::uint64_t dequeue_ns) {
   const bool timed_wait = dequeue_ns != 0;
-  if (!session->health.ok()) {
-    // Poisoned session (failed rehydration): drop, don't crash the fleet.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (!session->health.ok() ||
+      (session->detector == nullptr && !RestoreSession(session))) {
+    // Poisoned session (a failed rehydration, now or earlier): drop, don't
+    // crash the fleet.
     session->dropped.fetch_add(1, std::memory_order_relaxed);
-    if (dropped_counter_ != nullptr) dropped_counter_->Increment();
-    return;
-  }
-  if (session->detector == nullptr && !RestoreSession(session)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    session->dropped.fetch_add(1, std::memory_order_relaxed);
-    if (dropped_counter_ != nullptr) dropped_counter_->Increment();
+    dropped_counter_->Increment();
     return;
   }
   if (options_.max_resident_per_shard > 0) {
@@ -367,7 +350,7 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
   // dequeue -> step end, which folds in the session bookkeeping above
   // (ns-scale) and, on the cold path, a rehydration — an honest "time to
   // serve this event once dequeued".
-  const bool timed = shard->step_ns != nullptr && timed_wait;
+  const bool timed = metered_ && timed_wait;
   // Fleet-fed quality analytics read the step's observation straight from
   // the detector; other sessions skip building it.
   const bool fleet_fed = session->analytics_storage != nullptr;
@@ -388,8 +371,7 @@ void DetectorFleet::ProcessEvent(Shard* shard, Session* session,
   session->last_step_t.store(session->detector->t(),
                              std::memory_order_relaxed);
   if (fleet_fed && session->analytics->OnStep(observation)) {
-    anomalies_.fetch_add(1, std::memory_order_relaxed);
-    if (anomalies_counter_ != nullptr) anomalies_counter_->Increment();
+    anomalies_counter_->Increment();
   }
   if (step.scored) {
     SessionStepResult result;
@@ -415,7 +397,7 @@ void DetectorFleet::DeliverResult(Shard* shard, Session* session,
   session->results.push_back(result);
   if (session->results.size() > options_.result_ring_capacity) {
     session->results.pop_front();
-    result_overflow_.fetch_add(1, std::memory_order_relaxed);
+    result_overflow_counter_->Increment();
   }
 }
 
@@ -432,7 +414,7 @@ bool DetectorFleet::RestoreSession(Session* session) {
     if (status.ok()) session->detector = std::move(detector);
   }
   if (!status.ok()) {
-    rehydrate_failures_.fetch_add(1, std::memory_order_relaxed);
+    rehydrate_failures_counter_->Increment();
     std::lock_guard<std::mutex> lock(shard->results_mutex);
     session->health = core::Status(
         status.code(), "rehydration of '" + session->id +
@@ -446,8 +428,7 @@ bool DetectorFleet::RestoreSession(Session* session) {
   }
   session->since_restore = 0;
   session->resident.store(true, std::memory_order_relaxed);
-  rehydrations_.fetch_add(1, std::memory_order_relaxed);
-  if (rehydrations_counter_ != nullptr) rehydrations_counter_->Increment();
+  rehydrations_counter_->Increment();
   std::lock_guard<std::mutex> lock(shard->lru_mutex);
   LruInsertBefore(shard, session, shard->lru_head);
   shard->resident_count.fetch_add(1, std::memory_order_relaxed);
@@ -467,8 +448,7 @@ bool DetectorFleet::EvictSession(Shard* shard, Session* session) {
   }
   session->detector.reset();
   session->resident.store(false, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (evictions_counter_ != nullptr) evictions_counter_->Increment();
+  evictions_counter_->Increment();
   std::lock_guard<std::mutex> lock(shard->lru_mutex);
   LruUnlink(shard, session);
   shard->resident_count.fetch_sub(1, std::memory_order_relaxed);
@@ -635,8 +615,7 @@ void DetectorFleet::WatchdogLoop() {
       // worker blocked in Pop is healthy.
       if (progressed || shard->queue.size() == 0) {
         stagnant_since[i] = now;
-        if (shard->stalled.exchange(false, std::memory_order_relaxed) &&
-            shard->stalled_gauge != nullptr) {
+        if (shard->stalled.exchange(false, std::memory_order_relaxed)) {
           shard->stalled_gauge->Set(0.0);
         }
         continue;
@@ -649,18 +628,14 @@ void DetectorFleet::WatchdogLoop() {
         // (only this thread writes `stalled`): whoever sees the mark sees
         // a finished dump, and a hold released after it cannot let the
         // worker write a ring the dump is still reading.
-        if (shard_stalls_counter_ != nullptr) {
-          shard_stalls_counter_->Increment();
-        }
-        if (shard->stalled_gauge != nullptr) shard->stalled_gauge->Set(1.0);
+        shard_stalls_counter_->Increment();
+        shard->stalled_gauge->Set(1.0);
         DumpStalledShardFlights(i);
         shard->stalled.store(true, std::memory_order_release);
       }
       if (shard->stalled.load(std::memory_order_relaxed)) ++stalled_count;
     }
-    if (stalled_shards_gauge_ != nullptr) {
-      stalled_shards_gauge_->Set(static_cast<double>(stalled_count));
-    }
+    stalled_shards_gauge_->Set(static_cast<double>(stalled_count));
   }
 }
 
@@ -770,16 +745,15 @@ std::vector<ShardSnapshot> DetectorFleet::SnapshotShards() const {
 
 FleetStats DetectorFleet::Stats() const {
   FleetStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
+  stats.submitted = events_counter_->Value();
   stats.processed = processed_.load(std::memory_order_relaxed);
-  stats.throttled = throttled_.load(std::memory_order_relaxed);
-  stats.dropped = dropped_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.rehydrations = rehydrations_.load(std::memory_order_relaxed);
-  stats.rehydrate_failures =
-      rehydrate_failures_.load(std::memory_order_relaxed);
-  stats.result_overflow = result_overflow_.load(std::memory_order_relaxed);
-  stats.anomalies = anomalies_.load(std::memory_order_relaxed);
+  stats.throttled = throttled_counter_->Value();
+  stats.dropped = dropped_counter_->Value();
+  stats.evictions = evictions_counter_->Value();
+  stats.rehydrations = rehydrations_counter_->Value();
+  stats.rehydrate_failures = rehydrate_failures_counter_->Value();
+  stats.result_overflow = result_overflow_counter_->Value();
+  stats.anomalies = anomalies_counter_->Value();
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   stats.sessions = sessions_.size();
   for (const std::unique_ptr<Shard>& shard : shards_) {

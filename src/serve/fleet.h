@@ -130,10 +130,12 @@ struct FleetOptions {
   /// fleet-wide `result_overflow` counter advances.
   std::size_t result_ring_capacity = 4096;
 
-  /// Optional registry for fleet metrics: per-shard queue-depth gauges,
-  /// queue-wait and step-latency histograms + summaries, plus event /
-  /// throttle / drop / eviction / rehydration counters and the
-  /// `streamad_serve_stalled_shards` health gauge. Not owned.
+  /// Registry for fleet metrics: per-shard queue-depth gauges, queue-wait
+  /// and step-latency histograms + summaries, the counters behind
+  /// `FleetStats` and the `streamad_serve_stalled_shards` health gauge.
+  /// Not owned. A registry serves one fleet (the names carry no fleet
+  /// label). When null the fleet counts into a registry of its own and
+  /// reads no clock for sessions without a recorder.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Take the event-timing path (enqueue stamp -> queue-wait and step
@@ -491,24 +493,24 @@ class DetectorFleet {
   std::condition_variable idle_cv_;
   bool stopped_ = false;  // guarded by sessions_mutex_
 
-  std::atomic<std::uint64_t> submitted_{0};
-  /// Steps taken fleet-wide. Release increments right after each step,
-  /// acquired by the watchdog's stall dump (the flight rings it reads).
+  /// Steps taken fleet-wide. Not only a count: its release increment
+  /// right after each step, acquired by the watchdog's stall dump,
+  /// publishes the flight-ring writes that dump reads.
   std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> throttled_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> rehydrations_{0};
-  std::atomic<std::uint64_t> rehydrate_failures_{0};
-  std::atomic<std::uint64_t> result_overflow_{0};
-  std::atomic<std::uint64_t> anomalies_{0};
 
+  /// `options_.metrics` is set: the fleet's timing path is on.
+  const bool metered_;
+  /// Holds every instrument when `options_.metrics` is null.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  /// The counts behind `Stats()`; the registry is their only copy.
   obs::Counter* events_counter_ = nullptr;
   obs::Counter* anomalies_counter_ = nullptr;
   obs::Counter* throttled_counter_ = nullptr;
   obs::Counter* dropped_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;
   obs::Counter* rehydrations_counter_ = nullptr;
+  obs::Counter* rehydrate_failures_counter_ = nullptr;
+  obs::Counter* result_overflow_counter_ = nullptr;
   obs::Gauge* stalled_shards_gauge_ = nullptr;
   obs::Counter* shard_stalls_counter_ = nullptr;
 

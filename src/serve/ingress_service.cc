@@ -39,8 +39,9 @@ IngressService::IngressService(DetectorFleet* fleet)
 IngressService::IngressService(DetectorFleet* fleet, Options options)
     : fleet_(fleet),
       options_(std::move(options)),
-      server_(net::IngressServer::Options{options_.server_name,
-                                          options_.features}),
+      server_(net::IngressServer::Options{.server_name = options_.server_name,
+                                          .features = options_.features,
+                                          .metrics = options_.metrics}),
       router_(std::make_shared<Router>()) {
   router_->server = &server_;
   router_->max_pending_scores = options_.max_pending_scores;
@@ -53,17 +54,14 @@ IngressService::IngressService(DetectorFleet* fleet, Options options)
   hooks.on_drain = [this](ConnectionId conn) { return OnDrain(conn); };
   hooks.on_disconnect = [this](ConnectionId conn) { OnDisconnect(conn); };
   server_.set_hooks(std::move(hooks));
-  if (options_.metrics != nullptr) {
-    server_.AttachMetrics(options_.metrics);
-    nack_throttled_ =
-        options_.metrics->GetCounter("streamad_ingress_nack_throttled_total");
-    nack_dropped_ =
-        options_.metrics->GetCounter("streamad_ingress_nack_dropped_total");
-    nack_unknown_stream_ = options_.metrics->GetCounter(
-        "streamad_ingress_nack_unknown_stream_total");
-    router_->results_shed =
-        options_.metrics->GetCounter("streamad_ingress_results_shed_total");
-  }
+  obs::MetricsRegistry* metrics = server_.metrics();
+  nack_throttled_ =
+      metrics->GetCounter("streamad_ingress_nack_throttled_total");
+  nack_dropped_ = metrics->GetCounter("streamad_ingress_nack_dropped_total");
+  nack_unknown_stream_ =
+      metrics->GetCounter("streamad_ingress_nack_unknown_stream_total");
+  router_->results_shed =
+      metrics->GetCounter("streamad_ingress_results_shed_total");
 }
 
 IngressService::~IngressService() { Stop(); }
@@ -85,7 +83,7 @@ core::Status IngressService::CreateSession(const std::string& stream_id,
     return status;
   }
   std::lock_guard<std::mutex> lock(router_->mutex);
-  router_->known_streams.insert(stream_id);
+  router_->widths.emplace(stream_id, 0);
   return core::Status::Ok();
 }
 
@@ -118,11 +116,26 @@ std::string IngressService::OnEventBatch(ConnectionId conn,
     std::lock_guard<std::mutex> lock(router_->mutex);
     for (std::size_t i = 0; i < batch.events.size(); ++i) {
       const wire::WireEvent& event = batch.events[i];
-      if (router_->known_streams.count(event.stream_id) == 0) {
+      const auto known = router_->widths.find(event.stream_id);
+      if (known == router_->widths.end()) {
         nacks.push_back(wire::NackEntry{
             static_cast<std::uint32_t>(i), wire::NackCode::kUnknownStream,
             "no session named " + TruncatedId(event.stream_id)});
-        CountNack(wire::NackCode::kUnknownStream);
+        nack_unknown_stream_->Increment();
+        continue;
+      }
+      // A detector aborts on an empty event or a changed channel count, so
+      // the shape is checked here, against the width the stream's first
+      // staged event pinned.
+      std::size_t& width = known->second;
+      if (width == 0) width = event.values.size();
+      if (event.values.empty() || event.values.size() != width) {
+        nacks.push_back(wire::NackEntry{
+            static_cast<std::uint32_t>(i), wire::NackCode::kMalformed,
+            event.values.empty()
+                ? std::string("empty event")
+                : std::to_string(event.values.size()) +
+                      " values; the stream takes " + std::to_string(width)});
         continue;
       }
       // Latest submitter wins the route: scores flow back to whichever
@@ -144,8 +157,7 @@ std::string IngressService::OnEventBatch(ConnectionId conn,
           dropped ? wire::NackCode::kDropped : wire::NackCode::kThrottled,
           dropped ? "shard queue full; event lost"
                   : "shard queue at watermark; queued anyway"});
-      CountNack(dropped ? wire::NackCode::kDropped
-                        : wire::NackCode::kThrottled);
+      (dropped ? nack_dropped_ : nack_throttled_)->Increment();
     }
   }
 
@@ -236,7 +248,7 @@ void IngressService::RouteResult(const std::shared_ptr<Router>& router,
     // The connection is not draining (peer stopped reading); shed rather
     // than grow without bound — the server's outbuf cap will disconnect
     // the peer shortly.
-    if (router->results_shed != nullptr) router->results_shed->Increment();
+    router->results_shed->Increment();
     return;
   }
   queue.push_back(std::move(entry));
@@ -245,22 +257,6 @@ void IngressService::RouteResult(const std::shared_ptr<Router>& router,
   // pipe coalesces (a full pipe already guarantees a pending wake-up),
   // so this is one cheap write per score at worst.
   router->server->FlagPending(it->second);
-}
-
-void IngressService::CountNack(wire::NackCode code) {
-  switch (code) {
-    case wire::NackCode::kThrottled:
-      if (nack_throttled_ != nullptr) nack_throttled_->Increment();
-      return;
-    case wire::NackCode::kDropped:
-      if (nack_dropped_ != nullptr) nack_dropped_->Increment();
-      return;
-    case wire::NackCode::kUnknownStream:
-      if (nack_unknown_stream_ != nullptr) nack_unknown_stream_->Increment();
-      return;
-    default:
-      return;
-  }
 }
 
 }  // namespace streamad::serve

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/status.h"
@@ -31,6 +30,7 @@ namespace wire = net::wire;
 ///   Admission::kThrottled -> queued AND a NACK entry (advisory: slow down)
 ///   Admission::kDropped   -> a NACK entry; the event was lost
 ///   unknown stream id     -> a NACK entry (kUnknownStream); never submitted
+///   empty or wrong width  -> a NACK entry (kMalformed); never submitted
 ///
 /// Scores flow back asynchronously: each session created through
 /// `CreateSession` gets an `on_result` callback that buffers a
@@ -42,7 +42,8 @@ class IngressService {
     std::string server_name = "streamad-ingress";
     std::uint64_t features = 0;
     /// Registry for the server's transport metrics and the service's
-    /// per-code NACK counters; null disables both.
+    /// per-code NACK and shed counters. Not owned; one registry serves one
+    /// service. When null the server's own registry holds them.
     obs::MetricsRegistry* metrics = nullptr;
     /// Per-connection cap on scores buffered while waiting for the server
     /// loop to drain them. A connection whose peer stops reading backs up
@@ -66,7 +67,9 @@ class IngressService {
 
   /// Creates a fleet session whose scores are routed back over ingress.
   /// Call for every stream the server should accept; events for other ids
-  /// are NACKed with `kUnknownStream`.
+  /// are NACKed with `kUnknownStream`. The stream's first staged event
+  /// pins its width; empty events and other widths are NACKed with
+  /// `kMalformed`.
   core::Status CreateSession(const std::string& stream_id,
                              SessionConfig config);
 
@@ -89,11 +92,14 @@ class IngressService {
   /// `mutex`, so late results are dropped rather than dereferencing a dead
   /// service. `server_.FlagPending` is only ever called while holding
   /// `mutex`, which makes the clear-then-teardown sequence race-free.
+  /// The same rule covers `results_shed`: it may live in the server's own
+  /// registry, so it is only touched while `server` is set.
   struct Router {
     std::mutex mutex;
     net::IngressServer* server = nullptr;                 // guarded by mutex
     std::size_t max_pending_scores = 0;
-    std::unordered_set<std::string> known_streams;        // guarded by mutex
+    /// Known stream -> its pinned event width (0 until the first event).
+    std::unordered_map<std::string, std::size_t> widths;  // guarded by mutex
     std::unordered_map<std::string, ConnectionId> routes; // guarded by mutex
     std::unordered_map<ConnectionId, std::vector<wire::ScoreEntry>>
         pending;                                          // guarded by mutex
@@ -110,7 +116,6 @@ class IngressService {
   static void RouteResult(const std::shared_ptr<Router>& router,
                           const std::string& stream_id,
                           const SessionStepResult& result);
-  void CountNack(wire::NackCode code);
 
   DetectorFleet* fleet_;
   Options options_;

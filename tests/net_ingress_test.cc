@@ -304,7 +304,12 @@ TEST(NetIngressTest, ThrottledAndDroppedAdmissionsSurfaceAsNacks) {
   fleet.Stop();
 }
 
-TEST(NetIngressTest, UnknownStreamIsNackedWithoutClosingTheConnection) {
+TEST(NetIngressTest, BadEventsAreNackedWithoutClosingTheConnection) {
+  // One batch carries a 3-wide stream with an unknown id, a 2-wide event
+  // and an empty event mixed in. Each bad event is NACKed at its batch
+  // index and never reaches the detector, which would abort on the
+  // shape; the connection stays up and the scores that follow the NACK
+  // are bit-identical to a sequential run.
   FleetOptions options;
   options.shards = 1;
   DetectorFleet fleet(options);
@@ -315,32 +320,45 @@ TEST(NetIngressTest, UnknownStreamIsNackedWithoutClosingTheConnection) {
   net::IngressClient client;
   ASSERT_TRUE(client.Connect(service.port()).ok());
 
+  const data::LabeledSeries series = MakeSeries(0, 120);
   wire::EventBatchFrame batch;
-  batch.batch_id = 5;
-  batch.events.push_back(wire::WireEvent{"known", {1.0, 1.0, 1.0}});
+  batch.events.push_back(wire::WireEvent{"known", series.At(0)});
   batch.events.push_back(wire::WireEvent{"nope", {1.0, 1.0, 1.0}});
+  batch.events.push_back(wire::WireEvent{"known", {1.0, 1.0}});
+  batch.events.push_back(wire::WireEvent{"known", {}});
+  for (std::size_t t = 1; t < series.length(); ++t) {
+    batch.events.push_back(wire::WireEvent{"known", series.At(t)});
+  }
   ASSERT_TRUE(client.SendEventBatch(batch).ok());
 
   wire::Frame frame;
   ASSERT_TRUE(client.ReadFrame(&frame).ok());
   ASSERT_EQ(frame.type, wire::FrameType::kNack);
   const auto& nack = std::get<wire::NackFrame>(frame.payload);
-  EXPECT_EQ(nack.batch_id, 5u);
-  ASSERT_EQ(nack.entries.size(), 1u);
+  ASSERT_EQ(nack.entries.size(), 3u);
   EXPECT_EQ(nack.entries[0].index, 1u);
   EXPECT_EQ(nack.entries[0].code, wire::NackCode::kUnknownStream);
   EXPECT_NE(nack.entries[0].detail.find("nope"), std::string::npos);
+  for (std::uint32_t k = 1; k < 3; ++k) {
+    EXPECT_EQ(nack.entries[k].index, k + 1);
+    EXPECT_EQ(nack.entries[k].code, wire::NackCode::kMalformed);
+  }
 
-  // Misaddressing one event is not a protocol violation: the connection
-  // stays up and a health probe still answers.
-  ASSERT_TRUE(client.SendHealthProbe().ok());
-  ASSERT_TRUE(client.ReadFrame(&frame).ok());
-  ASSERT_EQ(frame.type, wire::FrameType::kHealth);
-  const auto& health = std::get<wire::HealthFrame>(frame.payload);
-  EXPECT_EQ(health.healthy, 1);
-  EXPECT_EQ(health.sessions, 1u);
+  const std::vector<SessionStepResult> reference =
+      SequentialReference(0, series);
+  std::size_t k = 0;
+  while (k < reference.size()) {
+    ASSERT_TRUE(client.ReadFrame(&frame, /*timeout_ms=*/5000).ok());
+    ASSERT_EQ(frame.type, wire::FrameType::kScoreBatch);
+    for (const auto& entry :
+         std::get<wire::ScoreBatchFrame>(frame.payload).entries) {
+      ASSERT_LT(k, reference.size());
+      EXPECT_EQ(entry.t, reference[k].t);
+      EXPECT_TRUE(BitEqual(entry.anomaly_score,
+                           reference[k++].step.anomaly_score));
+    }
+  }
 
-  fleet.WaitIdle();
   client.Close();
   service.Stop();
   fleet.Stop();
@@ -590,6 +608,7 @@ TEST(NetIngressTest, SlowReaderIsDisconnectedWhenOutbufOverflows) {
   obs::MetricsRegistry metrics;
   net::IngressServer::Options options;
   options.max_outbuf_bytes = 1024;
+  options.metrics = &metrics;
   net::IngressServer server(options);
   net::IngressServer::Hooks hooks;
   hooks.on_event_batch = [](net::IngressServer::ConnectionId,
@@ -603,7 +622,6 @@ TEST(NetIngressTest, SlowReaderIsDisconnectedWhenOutbufOverflows) {
     return bytes;
   };
   server.set_hooks(std::move(hooks));
-  server.AttachMetrics(&metrics);
   ASSERT_TRUE(server.Start(0).ok());
 
   net::IngressClient client;

@@ -39,7 +39,11 @@ TEST(BinaryIoTest, ScalarRoundTrip) {
 TEST(BinaryIoTest, ContainerRoundTrip) {
   std::stringstream stream;
   io::BinaryWriter w(&stream);
-  const std::vector<double> dv = {1.5, -2.5, 0.0};
+  // Longer than two read chunks, so the reader grows it in several steps.
+  std::vector<double> dv(io::BinaryReader::kReadChunkBytes / 4 + 3);
+  for (std::size_t i = 0; i < dv.size(); ++i) {
+    dv[i] = 1.5 - static_cast<double>(i);
+  }
   const std::vector<int> iv = {1, -2, 3};
   const linalg::Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   w.WriteDoubleVec(dv);
@@ -79,6 +83,27 @@ TEST(BinaryIoTest, GarbageLengthRejected) {
   io::BinaryReader r(&stream);
   std::vector<double> out;
   EXPECT_FALSE(r.ReadDoubleVec(&out));
+}
+
+TEST(BinaryIoTest, ClaimedLengthGrowsOnlyAsBytesArrive) {
+  // Short archives whose prefix claims 2^27 elements: every read fails,
+  // and no container grew past one read chunk on the claim's word.
+  const std::uint64_t claim = 1ull << 27;
+  const std::string bytes =
+      std::string(reinterpret_cast<const char*>(&claim), sizeof(claim)) +
+      "sixteen bytes...";
+  std::istringstream s1(bytes), s2(bytes), s3(bytes);
+  std::string str;
+  std::vector<double> staged(3, 1.0);
+  std::vector<int> ints;
+  std::uint64_t size = 0;
+  EXPECT_FALSE(io::BinaryReader(&s1).ReadString(&str));
+  EXPECT_FALSE(io::BinaryReader(&s2).AppendDoubleVec(&staged, &size));
+  EXPECT_FALSE(io::BinaryReader(&s3).ReadIntVec(&ints));
+  constexpr std::size_t kMiB = 1u << 20;
+  EXPECT_LT(str.capacity(), kMiB);
+  EXPECT_LT(staged.capacity() * sizeof(double), kMiB);
+  EXPECT_LT(ints.capacity() * sizeof(int), kMiB);
 }
 
 TEST(BinaryIoTest, ExpectStringRejectsMismatch) {

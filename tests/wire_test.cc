@@ -220,6 +220,29 @@ TEST(WireCodec, OversizedLengthPrefixRejectedBeforeBuffering) {
   EXPECT_EQ(assembler.error(), WireError::kOversized);
 }
 
+TEST(WireCodec, EventBatchClaimingHugeVectorIsTruncatedPayload) {
+  // A ~40-byte EVENT_BATCH whose one event claims 2^27 values: decoding
+  // fails on the missing bytes without first sizing a 1 GiB vector.
+  std::string payload;
+  const auto put = [&payload](auto value) {
+    payload.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint64_t{9});        // batch_id
+  put(std::uint32_t{1});        // one event
+  put(std::uint64_t{1});        // stream id length
+  payload += "s";
+  put(std::uint64_t{1} << 27);  // claimed values
+  put(1.0);                     // ...of which one arrives
+  std::string bytes;
+  AppendFrameRaw(&bytes, kWireMagic, kWireVersion,
+                 static_cast<std::uint8_t>(FrameType::kEventBatch), payload);
+  FrameAssembler assembler;
+  assembler.Append(bytes);
+  Frame frame;
+  EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Result::kError);
+  EXPECT_EQ(assembler.error(), WireError::kTruncatedPayload);
+}
+
 TEST(WireCodec, UnknownTypeIsTyped) {
   std::string bytes;
   AppendFrameRaw(&bytes, kWireMagic, kWireVersion, 99, "");
